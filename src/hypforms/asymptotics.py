@@ -129,7 +129,10 @@ def asymptotic_residual(q: QuadFormAt, direction: tuple[float, float]) -> float:
 def poincare_index_origin(f: BinaryForm) -> Fraction:
     """Total turning, in revolutions, of one null-direction field along the
     unit circle: a half-integer (line directions live modulo pi).  Equals
-    half the winding of the degenerate-cone curve of f."""
+    half the winding of the degenerate-cone curve of f.
+
+    The hyperbolicity of f is certified exactly; the second partials are
+    then evaluated in floats at each sample point of the circle."""
     require_hyperbolic(f)
     fxx, fxy, fyy = _second_partials(f)
     cache: dict[float, tuple[float, float]] = {}
@@ -138,10 +141,10 @@ def poincare_index_origin(f: BinaryForm) -> Fraction:
         got = cache.get(phi)
         if got is not None:
             return got
-        x, y = Rat(math.cos(phi)), Rat(math.sin(phi))
-        a = float(fxx.eval(x, y))
-        b = float(fxy.eval(x, y))
-        c = float(fyy.eval(x, y))
+        x, y = math.cos(phi), math.sin(phi)
+        a = fxx.eval_float(x, y)
+        b = fxy.eval_float(x, y)
+        c = fyy.eval_float(x, y)
         if b * b - a * c <= 0.0:
             raise RefinementError("degenerate directions on the unit circle")
         v1, v2 = _null_vectors(a, b, c)

@@ -107,20 +107,6 @@ def classify_form(f: BinaryForm) -> ComponentReport:
 # numeric winding cross-checks
 # ---------------------------------------------------------------------------
 
-def _float_eval(f: BinaryForm):
-    d = f.degree
-    cs = [float(c) for c in f.coeffs]
-
-    def ev(x: float, y: float) -> float:
-        acc = 0.0
-        for i, c in enumerate(cs):
-            if c:
-                acc += c * x ** (d - i) * y ** i
-        return acc
-
-    return ev
-
-
 def _arg_delta(u: tuple[float, float], v: tuple[float, float]) -> float:
     return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
 
@@ -164,9 +150,9 @@ def winding_gamma_numeric(f: BinaryForm) -> int:
     require_hyperbolic(f)
     fx = f.partial_x()
     fy = f.partial_y()
-    exx = _float_eval(fx.partial_x())
-    exy = _float_eval(fx.partial_y())
-    eyy = _float_eval(fy.partial_y())
+    exx = fx.partial_x().eval_float
+    exy = fx.partial_y().eval_float
+    eyy = fy.partial_y().eval_float
 
     def vec(phi: float) -> tuple[float, float]:
         x, y = math.cos(phi), math.sin(phi)
@@ -184,10 +170,10 @@ def winding_alpha_numeric(f: BinaryForm) -> int:
     derivative) projected to the plane 2*D*u + w = 0; equals index_gamma - 2."""
     require_hyperbolic(f)
     d = f.degree
-    ev0 = _float_eval(f)
+    ev0 = f.eval_float
     r1 = rotational_derivative(f)
-    ev1 = _float_eval(r1)
-    ev2 = _float_eval(rotational_derivative(r1))
+    ev1 = r1.eval_float
+    ev2 = rotational_derivative(r1).eval_float
 
     def vec(phi: float) -> tuple[float, float]:
         x, y = math.cos(phi), math.sin(phi)
@@ -226,13 +212,13 @@ def curve_samples(f: BinaryForm, n: int) -> list[CurveSample]:
     d = f.degree
     fx = f.partial_x()
     fy = f.partial_y()
-    exx = _float_eval(fx.partial_x())
-    exy = _float_eval(fx.partial_y())
-    eyy = _float_eval(fy.partial_y())
-    ev0 = _float_eval(f)
+    exx = fx.partial_x().eval_float
+    exy = fx.partial_y().eval_float
+    eyy = fy.partial_y().eval_float
+    ev0 = f.eval_float
     r1 = rotational_derivative(f)
-    ev1 = _float_eval(r1)
-    ev2 = _float_eval(rotational_derivative(r1))
+    ev1 = r1.eval_float
+    ev2 = rotational_derivative(r1).eval_float
     out = []
     for k in range(n):
         phi = 2.0 * math.pi * k / n

@@ -3,13 +3,17 @@ verification suites, and asymptotic-curve figures.
 
 Subcommands and exit codes:
 
-  check <poly>     0 hyperbolic, 1 not hyperbolic, 2 parse error,
+  check <poly>     0 hyperbolic, 1 not hyperbolic, 2 parse error or a form
+                   outside the domain (degree below 2, zero form),
                    3 the two certification methods disagree (internal error)
   index <poly>     0 with the classification report, 1 not hyperbolic, 2 parse
+                   error or a form outside the domain (degree below 3)
   family <kind>    0 with one JSON member per line, 2 bad parameters
   verify <suite>   0 iff every case passes, 1 on any failure, 2 bad arguments
   lemma1           0 iff the critical-point certification passes for all n
   curves           0 with the figure written, 1 not hyperbolic, 2 bad input
+                   (a step or viewport that is not finite and positive, or a
+                   step too coarse for the direction lift)
 
 Reports are JSON on stdout; progress summaries go to stderr.  All output is
 deterministic for fixed flags; random corpora take an explicit --seed that is
@@ -24,7 +28,7 @@ import math
 import sys
 
 from .certify import Certificate, is_hyperbolic, is_hyperbolic_polar
-from .classify import admissible_indices, classify_form
+from .classify import RefinementError, admissible_indices, classify_form
 from .core import BinaryForm, NotHyperbolicError, ParseError, parse_form, format_form
 from .families import FamilyMember, arnold, f_family, g_even, p_factorized, representatives
 from .asymptotics import CurvePolyline, integrate_curve, polylines_to_csv, polylines_to_svg
@@ -62,8 +66,12 @@ def cmd_check(poly: str) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    h = is_hyperbolic(f)
-    p = is_hyperbolic_polar(f)
+    try:
+        h = is_hyperbolic(f)
+        p = is_hyperbolic_polar(f)
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     agree = h.verdict == p.verdict
     _emit(
         {
@@ -93,6 +101,9 @@ def cmd_index(poly: str) -> int:
     except NotHyperbolicError as exc:
         _emit({"input": poly, "canonical": format_form(f), "error": str(exc)})
         return 1
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     _emit(
         {
             "input": poly,
@@ -267,14 +278,18 @@ def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    if step <= 0.0 or viewport <= 0.0:
-        print("step and viewport must be positive", file=sys.stderr)
+    finite = math.isfinite(step) and math.isfinite(viewport)
+    if not finite or step <= 0.0 or viewport <= 0.0:
+        print("step and viewport must be finite and positive", file=sys.stderr)
         return 2
     try:
         curves = figure_curves(f, step=step, viewport=viewport)
     except NotHyperbolicError as exc:
         print(f"not hyperbolic: {exc}", file=sys.stderr)
         return 1
+    except RefinementError as exc:
+        print(f"curve integration failed: {exc}; try a smaller --step", file=sys.stderr)
+        return 2
     if out.endswith(".svg"):
         payload = polylines_to_svg(curves, viewport=viewport)
     elif out.endswith(".csv"):

@@ -6,8 +6,10 @@ A binary form of degree D is stored densely as the coefficient tuple
     f(x, y) = sum_i a_i * x^(D-i) * y^i.
 
 All coefficient arithmetic is exact (fractions.Fraction); floats only
-appear in the dedicated *_float evaluation helpers used by the numeric
-cross-checks.
+appear in BinaryForm.eval_float, the one float evaluator behind the numeric
+cross-checks, the direction lift and the curve stepper.  It converts the
+coefficients to floats on its first call and caches them on the instance,
+so forms that are never evaluated in floats pay nothing.
 """
 
 from __future__ import annotations
@@ -206,11 +208,19 @@ class BinaryForm:
         return sum((c * xp[d - i] * yp[i] for i, c in enumerate(self.coeffs)), Fraction(0))
 
     def eval_float(self, x: float, y: float) -> float:
-        d = self.degree
+        # The nonzero terms (float(a_i), D - i, i) are built on the first
+        # call and kept on the instance: most forms of the exact kernel are
+        # never evaluated in floats.  Terms are summed left to right without
+        # Horner, so every result is the plain term-by-term float sum.
+        try:
+            terms = self._float_terms
+        except AttributeError:
+            d = self.degree
+            terms = tuple((float(c), d - i, i) for i, c in enumerate(self.coeffs) if c)
+            object.__setattr__(self, "_float_terms", terms)
         acc = 0.0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc += float(c) * x ** (d - i) * y ** i
+        for c, px, py in terms:
+            acc += c * x ** px * y ** py
         return acc
 
     def __add__(self, other: BinaryForm) -> BinaryForm:

@@ -129,7 +129,7 @@ def _run(name: str, jobs: list[tuple[str, object]], t0: float) -> SuiteReport:
     else:
         cases = [run_one(j) for j in jobs]
     cases.sort(key=lambda c: c["id"])
-    return SuiteReport(suite=name, cases=cases, wall_time=time.time() - t0)
+    return SuiteReport(suite=name, cases=cases, wall_time=time.perf_counter() - t0)
 
 
 def _exact(expected, got) -> dict:
@@ -149,7 +149,7 @@ def suite_table1(d_max: int = 16) -> SuiteReport:
     certified hyperbolic and its winding index matches the stored value."""
     if not 3 <= d_max <= 16:
         raise ValueError("d_max must be within 3..16")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     for mem in table1(d_max):
         def fn(mem: FamilyMember = mem):
@@ -173,7 +173,7 @@ def suite_conjecture(d_max: int = 20) -> SuiteReport:
     index respects the parity and range bounds."""
     if not 3 <= d_max <= 24:
         raise ValueError("d_max must be within 3..24")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     for d in range(3, d_max + 1):
         if d == 4:
@@ -266,7 +266,7 @@ def suite_lemma1(n_max: int = 40) -> SuiteReport:
     n from 2 up to n_max."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = [
         (f"lemma1/critical-point/n={n:02d}", partial(_critical_point_case, n))
         for n in range(2, n_max + 1)
@@ -281,7 +281,7 @@ def suite_lemmas(n_max: int = 40) -> SuiteReport:
     non-strict middle-block bound for 2 <= n <= 11."""
     if n_max < 11:
         raise ValueError("n_max must be >= 11")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
 
     for n in range(2, n_max + 1):
@@ -341,7 +341,7 @@ def suite_hessian_expansion(n_max: int = 10) -> SuiteReport:
     the even family."""
     if not 2 <= n_max <= 14:
         raise ValueError("n_max must be within 2..14")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     for n in range(2, n_max + 1):
         def expansion(n: int = n):
@@ -428,7 +428,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
     holds with the extension criterion matching direct certification."""
     if not 3 <= d_max <= 20:
         raise ValueError("d_max must be within 3..20")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     members = list(table1(min(d_max, 16)))
     for d in range(3, d_max + 1):
@@ -496,7 +496,7 @@ def suite_winding(d_max: int = 12) -> SuiteReport:
     circle zero counts equal circle critical-point counts."""
     if not 3 <= d_max <= 16:
         raise ValueError("d_max must be within 3..16")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     members: list[FamilyMember] = []
     for d in range(3, d_max + 1):
@@ -538,7 +538,7 @@ def suite_obs_arnold(d_max: int = 16) -> SuiteReport:
     still contains index -1."""
     if not 9 <= d_max <= 16:
         raise ValueError("d_max must be within 9..16")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     rows: dict[int, set[int]] = {}
     for mem in table1(d_max):
@@ -573,7 +573,7 @@ def suite_poincare(d_max: int = 12) -> SuiteReport:
     forms for the generated families."""
     if not 3 <= d_max <= 12:
         raise ValueError("d_max must be within 3..12")
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     for d in range(3, d_max + 1):
         if d == 4:
@@ -643,7 +643,7 @@ def suite_isotopies() -> SuiteReport:
     pair whose product is hyperbolic; the boundary pair (degree-3 lines,
     n=1) fails exactly at the endpoint that equals the non-hyperbolic
     degree-5 product."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = []
     for name, p, q, n in _isotopy_pairs():
         def pair_case(name=name, p=p, q=q, n=n):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, figure emission."""
 
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,14 @@ def test_check_parse_error(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("poly", ["x", "0*x^3"])
+def test_check_below_degree_two_is_bad_input(capsys, poly):
+    code, out, err = run(capsys, "check", poly)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad input: ") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------- index
 
 
@@ -56,6 +65,14 @@ def test_index_non_hyperbolic(capsys):
     code, out, _ = run(capsys, "index", "x^2 + y^2")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("poly", ["x", "x*y"])
+def test_index_below_degree_three_is_bad_input(capsys, poly):
+    code, out, err = run(capsys, "index", poly)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad input: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ family
@@ -164,3 +181,37 @@ def test_curves_rejects_unknown_extension(tmp_path, capsys):
     out = tmp_path / "e.txt"
     code, _, _ = run(capsys, "curves", "--poly", "x*y", "--out", str(out))
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--step", "--viewport"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_curves_rejects_step_or_viewport_not_finite_positive(tmp_path, capsys, flag, value):
+    out = tmp_path / "f.svg"
+    code, _, err = run(capsys, "curves", "--poly", "x*y", "--out", str(out),
+                       f"{flag}={value}")
+    assert code == 2
+    assert "finite and positive" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_curves_too_coarse_step_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "g.svg"
+    code, _, err = run(capsys, "curves", "--poly", "x*(x^2 - y^2)",
+                       "--out", str(out), "--step", "0.5")
+    assert code == 2
+    assert "curve integration failed" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# sha256 of the default figure of x*(x^2 - y^2): the float evaluator, the
+# curve stepper and the seed search must keep every byte of it.  The bytes
+# also rest on the C library's pow, sqrt, hypot, cos, sin and atan2; the
+# digest was taken with CPython 3.11 and glibc 2.36 on x86-64.
+FIGURE_SHA256 = "92e3bc0b62ec73835767768b836a2b4004d9eb7dc6690330e7064ba334f0b392"
+
+
+def test_curves_default_figure_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "h.svg"
+    code, _, _ = run(capsys, "curves", "--poly", "x*(x^2 - y^2)", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256

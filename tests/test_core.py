@@ -1,5 +1,6 @@
 """Exact polynomial plumbing: parsing, formatting, ring ops, derivatives."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,38 @@ def test_form_eval_bilinear_in_scaling(f, x, y):
     # homogeneity: f(t*x, t*y) = t^degree f(x, y)
     t = Fraction(3, 2)
     assert f.eval(t * x, t * y) == t**f.degree * f.eval(x, y)
+
+
+def _float_sum(f, x, y):
+    # the plain term-by-term sum that eval_float must reproduce bit for bit
+    d = f.degree
+    acc = 0.0
+    for i, c in enumerate(f.coeffs):
+        if c:
+            acc += float(c) * x ** (d - i) * y ** i
+    return acc
+
+
+def test_eval_float_matches_term_sum_bit_for_bit():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        d = rng.randint(0, 12)
+        cs = [
+            Fraction(0) if rng.random() < 0.3
+            else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 997))
+            for _ in range(d + 1)
+        ]
+        f = BinaryForm(d, tuple(cs))
+        for _ in range(5):
+            x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            want = _float_sum(f, x, y)
+            assert f.eval_float(x, y) == want
+            # the second call reads the cached float terms
+            assert f.eval_float(x, y) == want
+        # the cache leaves equality and hashing alone
+        g = BinaryForm(d, tuple(cs))
+        assert f == g and hash(f) == hash(g)
+        assert g.eval_float(0.5, -1.25) == f.eval_float(0.5, -1.25)
 
 
 @given(forms(max_degree=5, min_degree=1))
