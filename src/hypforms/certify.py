@@ -3,9 +3,13 @@
 A form f of degree D >= 2 is hyperbolic when the quadratic form of its
 second partials is indefinite at every point away from the origin,
 equivalently when f_xx*f_yy - f_xy^2 is negative there.  Everything in
-this module decides signs exactly: real-root counting runs on signed
-Sturm chains over the integers (content stripped at every step), and
-negativity of an even form reduces by homogeneity to one chart plus one
+this module decides signs exactly, on integers: hessian and polar_form run
+on the integer multiple of f that clears its denominators, and each sign
+decision runs one signed primitive remainder sequence of p and p' (content
+stripped at every step).  Its last term is gcd(p, p'), and the sequence
+divided by that gcd is a Sturm sequence of the squarefree part of p.
+Fraction appears only where forms and polynomials enter and leave.
+Negativity of an even form reduces by homogeneity to one chart plus one
 extra point.
 """
 
@@ -15,9 +19,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .core import BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly, rotational_derivative
+from .core import BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly
 
 # ---------------------------------------------------------------------------
 # integer polynomial kernel
@@ -96,24 +100,43 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
     return _trim(q)
 
 
+def _prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed primitive remainder sequence a, b, -rem(a, b), ... of primitive
+    a and b.  Every term is a positive multiple of the classical signed
+    remainder, and the last term is gcd(a, b) up to sign."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _rem_signed(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
 def _gcd_int(a: list[int], b: list[int]) -> list[int]:
     a, b = _primitive(_trim(list(a))), _primitive(_trim(list(b)))
-    while b:
-        a, b = b, _rem_signed(a, b)
-        b = _primitive(b)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
+    g = _prs(a, b)[-1] if b else a
+    return [-c for c in g] if g and g[-1] < 0 else g
 
 
-def _squarefree(p: list[int]) -> list[int]:
+def _sturm(p: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Sturm sequence of the squarefree part ps of p, and ps itself.
+
+    One signed remainder sequence of (p, p') gives both: its last term is
+    gcd(p, p'), and the sequence divided termwise by that gcd is a Sturm
+    sequence of ps = p / gcd(p, p').  It counts the distinct roots of p in
+    a half-open interval (a, b] exactly, endpoints that are roots included.
+    """
     p = _primitive(_trim(list(p)))
     if len(p) <= 1:
-        return p
-    g = _gcd_int(p, _deriv(p))
-    if len(g) == 1:
-        return p
-    return _primitive(_divexact(p, g))
+        return [p], p
+    chain = _prs(p, _primitive(_deriv(p)))
+    g = chain[-1]
+    if len(g) > 1:
+        if g[-1] < 0:
+            g = [-c for c in g]
+        chain = [_divexact(q, g) for q in chain]
+    return chain, chain[0]
 
 
 def _yun_odd_part(p: list[int]) -> list[int]:
@@ -154,17 +177,6 @@ def _mul_int(a: list[int], b: list[int]) -> list[int]:
             for j, v in enumerate(b):
                 out[i + j] += u * v
     return out
-
-
-def _chain_int(ps: list[int]) -> list[list[int]]:
-    """Signed Sturm chain of a squarefree primitive polynomial."""
-    chain = [ps, _primitive(_deriv(ps))]
-    while len(chain[-1]) > 1:
-        r = _rem_signed(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
 
 
 def _sign_at(p: list[int], t: Fraction) -> int:
@@ -214,15 +226,17 @@ def _count(chain: list[list[int]], a: Fraction | None, b: Fraction | None) -> in
     return va - vb
 
 
-def _int_coeffs(p: UniPoly) -> list[int]:
-    """Primitive integer model of p (positive rational multiple)."""
-    if p.is_zero():
-        return []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    return _primitive(ints)
+def _cleared(cs) -> tuple[list[int], int]:
+    """(ints, den) with cs[i] == ints[i] / den and den the lcm of the
+    denominators: the integer model of a Fraction coefficient sequence."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _int_coeffs(cs) -> list[int]:
+    """Primitive integer model of the coefficients cs (a positive rational
+    multiple, trailing zeros kept)."""
+    return _primitive(_cleared(cs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +245,9 @@ def _int_coeffs(p: UniPoly) -> list[int]:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Signed remainder chain of the squarefree part of the source polynomial."""
+    """A Sturm sequence of the squarefree part of the source polynomial: its
+    signed primitive remainder sequence, divided termwise by the gcd of the
+    polynomial and its derivative.  The first term is the squarefree part."""
 
     polys: tuple[UniPoly, ...]
 
@@ -239,7 +255,7 @@ class SturmChain:
 def sturm_chain(p: UniPoly) -> SturmChain:
     if p.is_zero():
         raise ValueError("zero polynomial has no Sturm chain")
-    chain = _chain_int(_squarefree(_int_coeffs(p)))
+    chain, _ = _sturm(_int_coeffs(p.coeffs))
     return SturmChain(tuple(UniPoly(tuple(Fraction(c) for c in q)) for q in chain))
 
 
@@ -250,11 +266,10 @@ def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None
         raise ValueError("root counting on the zero polynomial")
     if a is not None and b is not None and a >= b:
         raise ValueError("need a < b")
-    ints = _int_coeffs(p)
+    ints = _int_coeffs(p.coeffs)
     if len(ints) <= 1:
         return 0
-    chain = _chain_int(_squarefree(ints))
-    return _count(chain, a, b)
+    return _count(_sturm(ints)[0], a, b)
 
 
 def _isolate(chain: list[list[int]], ps: list[int], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -285,28 +300,22 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
     if p.is_zero():
         raise ValueError("zero polynomial")
     zero, one = Fraction(0), Fraction(1)
-    p0, p1 = p(zero), p(one)
+    ints = _int_coeffs(p.coeffs)
+    p0, p1 = ints[0], sum(ints)
     if strict:
         if p0 >= 0 or p1 >= 0:
             return False
-        ints = _int_coeffs(p)
         if len(ints) <= 1:
             return True
-        ps = _squarefree(ints)
-        chain = _chain_int(ps)
-        inside = _count(chain, zero, one)
-        if _sign_at(ps, one) == 0:
-            inside -= 1
-        # no interior root and negative ends force a negative sign throughout
-        return inside == 0
+        # negative ends and no root in (0, 1] force a negative sign throughout
+        return _count(_sturm(ints)[0], zero, one) == 0
     if p0 > 0 or p1 > 0:
         return False
-    ints = _int_coeffs(p)
     if len(ints) <= 1:
-        return ints[0] <= 0 if ints else True
+        return True
     odd = _yun_odd_part(ints)
     if len(odd) > 1:
-        chain = _chain_int(_squarefree(odd))
+        chain, _ = _sturm(odd)
         sign_changes = _count(chain, zero, one)
         if _sign_at(odd, one) == 0:
             sign_changes -= 1
@@ -339,34 +348,28 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
         raise ValueError("negativity test on the zero form")
     if h.degree % 2 == 1:
         raise ValueError("negativity test needs even degree")
-    at_x = h.coeffs[0]   # h(1, 0)
-    at_y = h.coeffs[-1]  # h(0, 1)
-    if at_x >= 0:
+    # ints is h(1, t) up to a positive factor: every sign below is read on it
+    ints = _int_coeffs(h.coeffs)
+    if ints[0] >= 0:  # h(1, 0)
         return False, (Fraction(1), Fraction(0))
-    if at_y >= 0:
+    if ints[-1] >= 0:  # h(0, 1)
         return False, (Fraction(0), Fraction(1))
-    line = h.restrict("x=1")
-    ints = _int_coeffs(line)
-    ps = _squarefree(ints)
-    if len(ps) <= 1:
+    chain, ps = _sturm(ints)
+    if len(ps) <= 1 or _count(chain, None, None) == 0:
         return True, None
-    chain = _chain_int(ps)
-    total = _count(chain, None, None)
-    if total == 0:
-        return True, None
-    return False, _root_witness(h, line, chain, ps)
+    return False, _root_witness(ints, chain, ps)
 
 
-def _root_witness(h: BinaryForm, line: UniPoly, chain, ps) -> tuple[Rat, Rat] | None:
+def _root_witness(ints: list[int], chain, ps) -> tuple[Rat, Rat] | None:
     # Cauchy bound keeps every root inside (-bound, bound]
     lead = abs(ps[-1])
     bound = Fraction(1) + max(Fraction(abs(c), lead) for c in ps)
     for a, b in _isolate(chain, ps, -bound, bound):
         # odd multiplicity forces a sign change, so an endpoint value >= 0
         # exists unless the single root sits exactly at b
-        if line(a) >= 0:
+        if _sign_at(ints, a) >= 0:
             return (Fraction(1), a)
-        if line(b) >= 0:
+        if _sign_at(ints, b) >= 0:
             return (Fraction(1), b)
         # both ends negative: an even-multiplicity touch of zero; a rational
         # witness exists only if the root itself is rational
@@ -439,13 +442,45 @@ class Certificate:
         return json.dumps(self.to_dict())
 
 
+# Forms on integers: the coefficient list of sum c[i] * x^(n-i) * y^i, so that
+# products of forms are _mul_int.  hessian and polar_form are quadratic in f,
+# so they run on den*f and divide by den^2 once at the end.
+
+
+def _dx(c: list[int]) -> list[int]:
+    n = len(c) - 1
+    return [(n - i) * c[i] for i in range(n)]
+
+
+def _dy(c: list[int]) -> list[int]:
+    return [(i + 1) * c[i + 1] for i in range(len(c) - 1)]
+
+
+def _rot(c: list[int]) -> list[int]:
+    """x*c_y - y*c_x, the same degree as c."""
+    xcy = _dy(c) + [0]
+    ycx = [0] + _dx(c)
+    return [u - v for u, v in zip(xcy, ycx)]
+
+
+def _over_square(degree: int, c: list[int], den: int) -> BinaryForm:
+    if den == 1:
+        return BinaryForm(degree, tuple(c))
+    den2 = den * den
+    return BinaryForm(degree, tuple(Fraction(v, den2) for v in c))
+
+
 def hessian(f: BinaryForm) -> BinaryForm:
     """f_xx*f_yy - f_xy^2, a form of degree 2*deg(f) - 4."""
     if f.degree < 2:
         raise ValueError("hessian needs degree >= 2")
-    fx = f.partial_x()
-    fy = f.partial_y()
-    return fx.partial_x() * fy.partial_y() - fx.partial_y() * fx.partial_y()
+    c, den = _cleared(f.coeffs)
+    cx = _dx(c)
+    cxy = _dy(cx)
+    h = _mul_int(_dx(cx), _dy(_dy(c)))
+    for i, v in enumerate(_mul_int(cxy, cxy)):
+        h[i] -= v
+    return _over_square(2 * f.degree - 4, h, den)
 
 
 def polar_form(f: BinaryForm) -> BinaryForm:
@@ -454,9 +489,11 @@ def polar_form(f: BinaryForm) -> BinaryForm:
     if f.degree < 1:
         raise ValueError("polar form needs degree >= 1")
     d = f.degree
-    r1 = rotational_derivative(f)
-    r2 = rotational_derivative(r1)
-    return d * d * (f * f) + d * (f * r2) - (d - 1) * (r1 * r1)
+    c, den = _cleared(f.coeffs)
+    r1 = _rot(c)
+    pol = [d * d * u + d * v - (d - 1) * w for u, v, w in
+           zip(_mul_int(c, c), _mul_int(c, _rot(r1)), _mul_int(r1, r1))]
+    return _over_square(2 * d, pol, den)
 
 
 @lru_cache(maxsize=8192)

@@ -7,7 +7,8 @@ Subcommands and exit codes:
                    outside the domain (degree below 2, zero form),
                    3 the two certification methods disagree (internal error)
   index <poly>     0 with the classification report, 1 not hyperbolic, 2 parse
-                   error or a form outside the domain (degree below 3)
+                   error or a form outside the domain (degree below 3, zero
+                   form)
   family <kind>    0 with one JSON member per line, 2 bad parameters
   verify <suite>   0 iff every case passes, 1 on any failure, 2 bad arguments
   lemma1           0 iff the critical-point certification passes for all n
@@ -59,12 +60,25 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def cmd_check(poly: str) -> int:
-    """Certify hyperbolicity by both methods and report any disagreement."""
+def _parse_nonzero(poly: str) -> BinaryForm | None:
+    """The parsed form, or None after a one-line message on stderr when the
+    text does not parse or every coefficient is zero."""
     try:
         f = parse_form(poly)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return None
+    if f.is_zero():
+        print(f"bad input: zero form of degree {f.degree}: every coefficient "
+              "is zero", file=sys.stderr)
+        return None
+    return f
+
+
+def cmd_check(poly: str) -> int:
+    """Certify hyperbolicity by both methods and report any disagreement."""
+    f = _parse_nonzero(poly)
+    if f is None:
         return 2
     try:
         h = is_hyperbolic(f)
@@ -91,10 +105,8 @@ def cmd_check(poly: str) -> int:
 
 def cmd_index(poly: str) -> int:
     """Classify a hyperbolic form: index, component rank, factor count."""
-    try:
-        f = parse_form(poly)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    f = _parse_nonzero(poly)
+    if f is None:
         return 2
     try:
         rep = classify_form(f)

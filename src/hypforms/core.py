@@ -347,29 +347,52 @@ class _Lexer:
         return tok
 
 
+# Largest degree parse_form accepts, for every exponent, every product and
+# the coefficient-vector form alone.  It bounds the parser's work, and the
+# work of an exact certificate, which grows about as D^6.  The largest degree
+# any suite, test or benchmark parses is 41.
+MAX_DEGREE = 100
+
 # parser works on sparse bivariate dicts {(x_power, y_power): coeff} so that
-# homogeneity can be checked once at the end
+# homogeneity can be checked once at the end.  Cancelled monomials stay in
+# with coefficient 0, so "0*x^3" keeps its degree 3; a zero constant term is
+# homogeneous of every degree and is dropped from a sum with other monomials.
 _Bivar = dict
+
+
+def _degree(a) -> int:
+    return max(i + j for i, j in a)
 
 
 def _bv_add(a, b):
     out = dict(a)
     for k, v in b.items():
         out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v != 0}
+    if len(out) > 1 and out.get((0, 0), 1) == 0:
+        del out[(0, 0)]
+    return out
 
 
 def _bv_mul(a, b):
+    if _degree(a) + _degree(b) > MAX_DEGREE:
+        raise ParseError(f"degree above the limit of {MAX_DEGREE}")
     out: dict = {}
     for (i, j), u in a.items():
         for (k, l), v in b.items():
             key = (i + k, j + l)
             out[key] = out.get(key, Fraction(0)) + u * v
-    return {k: v for k, v in out.items() if v != 0}
+    return out
 
 
 def _bv_scale(a, s):
-    return {k: v * s for k, v in a.items() if v * s != 0}
+    return {k: v * s for k, v in a.items()}
+
+
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"numeral of {len(tok)} digits is too long") from None
 
 
 def _parse_expr(lx: _Lexer):
@@ -405,8 +428,11 @@ def _parse_power(lx: _Lexer):
         tok = lx.next()
         if not tok.isdigit():
             raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}")
+        n = _int(tok)
+        if n > MAX_DEGREE:
+            raise ParseError(f"exponent {n} is above the limit of {MAX_DEGREE}")
         out = {(0, 0): Fraction(1)}
-        for _ in range(int(tok)):
+        for _ in range(n):
             out = _bv_mul(out, base)
         return out
     return base
@@ -424,13 +450,13 @@ def _parse_atom(lx: _Lexer):
     if tok == "y":
         return {(0, 1): Fraction(1)}
     if tok.isdigit():
-        num = int(tok)
+        num = _int(tok)
         if lx.peek() == "/":
             lx.next()
             den = lx.next()
-            if not den.isdigit() or int(den) == 0:
+            if not den.isdigit() or _int(den) == 0:
                 raise ParseError("denominator must be a positive integer")
-            return {(0, 0): Fraction(num, int(den))}
+            return {(0, 0): Fraction(num, _int(den))}
         return {(0, 0): Fraction(num)}
     raise ParseError(f"unexpected token {tok!r}")
 
@@ -442,11 +468,15 @@ def parse_form(text: str) -> BinaryForm:
     """Read a form from expression text ("x^3 - x*y^2") or a coefficient
     vector ("3: 1, 0, -1, 0").
 
-    The expression must be homogeneous; "x + y^2" is rejected.
+    The expression must be homogeneous, cancelled monomials included: "x + y^2"
+    and "x^2 - x^2 + y^3" are rejected, and "0*x^3" is the zero form of
+    degree 3.  Degrees above MAX_DEGREE are rejected.
     """
     m = _VECTOR_RE.match(text)
     if m:
-        degree = int(m.group(1))
+        degree = _int(m.group(1))
+        if degree > MAX_DEGREE:
+            raise ParseError(f"degree {degree} is above the limit of {MAX_DEGREE}")
         parts = [p.strip() for p in m.group(2).split(",")]
         if len(parts) != degree + 1:
             raise ParseError(
@@ -462,8 +492,6 @@ def parse_form(text: str) -> BinaryForm:
     bv = _parse_expr(lx)
     if lx.peek() is not None:
         raise ParseError(f"trailing input at {lx.peek()!r}")
-    if not bv:
-        return BinaryForm.zero(0)
     degrees = {i + j for (i, j) in bv}
     if len(degrees) > 1:
         raise ParseError(f"not homogeneous: monomial degrees {sorted(degrees)}")
@@ -475,7 +503,8 @@ def parse_form(text: str) -> BinaryForm:
 
 
 def format_form(f: BinaryForm) -> str:
-    """Canonical text; parse_form(format_form(f)) == f for nonzero forms."""
+    """Canonical text; parse_form(format_form(f)) == f for nonzero forms of
+    degree at most MAX_DEGREE."""
     if f.is_zero():
         return "0"
     d = f.degree

@@ -5,16 +5,13 @@ cases record what was expected, what was computed, and whether they match.
 Comparisons are exact (integer/rational/polynomial equality) unless a case
 is explicitly tagged with a tolerance.  Case lists are deterministic; the
 random corpora draw from a seeded generator whose seed appears in the case
-ids.  The HYPFORMS_THREADS environment variable caps how many cases run in
-parallel (default: sequential).
+ids.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -100,13 +97,6 @@ class SuiteReport:
         )
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HYPFORMS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run(name: str, jobs: list[tuple[str, object]], t0: float) -> SuiteReport:
     def run_one(job):
         cid, fn = job
@@ -122,12 +112,7 @@ def _run(name: str, jobs: list[tuple[str, object]], t0: float) -> SuiteReport:
         case["id"] = cid
         return case
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(run_one, jobs))
-    else:
-        cases = [run_one(j) for j in jobs]
+    cases = [run_one(j) for j in jobs]
     cases.sort(key=lambda c: c["id"])
     return SuiteReport(suite=name, cases=cases, wall_time=time.perf_counter() - t0)
 

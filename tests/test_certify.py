@@ -4,6 +4,8 @@ sympy is used as an independent oracle for real-root counting and for the
 definiteness decisions; the package itself never imports it.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypforms import certify
 from hypforms import (
     BinaryForm,
     LinearForm,
@@ -26,7 +29,9 @@ from hypforms import (
     linear_extension_is_hyperbolic,
     parse_form,
     polar_form,
+    representatives,
     require_hyperbolic,
+    rotational_derivative,
     sturm_chain,
     sturm_count,
 )
@@ -82,6 +87,54 @@ def test_sturm_count_matches_sympy_window(p, a):
     assert sturm_count(p, lo, hi) == expected
 
 
+def linear_power(root: Fraction, m: int) -> UniPoly:
+    """(q*t - p)^m for root = p/q."""
+    lin = UniPoly((Fraction(-root.numerator), Fraction(root.denominator)))
+    out = UniPoly.const(1)
+    for _ in range(m):
+        out = out * lin
+    return out
+
+
+halves = st.integers(min_value=-6, max_value=6).map(lambda k: Fraction(k, 2))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 1), (Fraction(-2), Fraction(1, 2)), (-2, 1), (Fraction(1, 2), 1), (-3, -2),
+     (Fraction(-1, 2), Fraction(1, 2)), (1, 2), (None, None)],
+)
+def test_sturm_count_repeated_roots_on_window_ends(lo, hi):
+    # (2t - 1)^2 (t - 1)^3 (t + 2): every root is a window end somewhere
+    p = linear_power(Fraction(1, 2), 2) * linear_power(Fraction(1), 3) * linear_power(Fraction(-2), 1)
+    lo = None if lo is None else Fraction(lo)
+    hi = None if hi is None else Fraction(hi)
+    roots = distinct_real_roots(p)
+    expected = sum(1 for r in roots if (lo is None or lo < r) and (hi is None or r <= hi))
+    assert sturm_count(p, lo, hi) == expected
+
+
+@given(
+    st.lists(st.tuples(halves, st.integers(1, 3)), min_size=1, max_size=4),
+    st.booleans(),
+    halves,
+    halves,
+)
+@settings(max_examples=60, deadline=None)
+def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, a, b):
+    # repeated rational roots on a grid of halves, so that window ends and
+    # the bisection midpoints of _isolate land on roots of every multiplicity
+    p = UniPoly((Fraction(1), Fraction(0), Fraction(1))) if complex_pair else UniPoly.const(1)
+    for root, m in factors:
+        p = p * linear_power(root, m)
+    roots = distinct_real_roots(p)
+    assert sturm_count(p) == len(roots)
+    if a < b:
+        assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
+    for lo, hi in certify._isolate(*certify._sturm(certify._int_coeffs(p.coeffs)), Fraction(-4), Fraction(4)):
+        assert sum(1 for r in roots if lo < r <= hi) == 1
+
+
 def test_sturm_count_half_open_convention():
     # roots of t(t-1)(t-2) in (0, 2] -> {1, 2}, the left endpoint excluded
     p = UniPoly((Fraction(0), Fraction(2), Fraction(-3), Fraction(1)))
@@ -100,6 +153,112 @@ def test_sturm_chain_endpoints():
     p = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))
     chain = sturm_chain(p)
     assert chain.polys[0] == p
+
+
+def test_sturm_chain_starts_with_the_squarefree_part():
+    # (t - 1)^3 (t + 2)^2 / 5 has the primitive squarefree part (t - 1)(t + 2)
+    p = Fraction(1, 5) * (linear_power(Fraction(1), 3) * linear_power(Fraction(-2), 2))
+    chain = sturm_chain(p)
+    assert chain.polys[0] == linear_power(Fraction(1), 1) * linear_power(Fraction(-2), 1)
+    # the derivative divided by gcd(p, p') = (t - 1)^2 (t + 2), not ps'
+    assert chain.polys[1] == UniPoly((Fraction(4), Fraction(5)))
+    assert chain.polys[-1].degree == 0
+
+
+# ------------------------------------------------------------ target forms
+
+
+def reference_hessian(f: BinaryForm) -> BinaryForm:
+    fx, fy = f.partial_x(), f.partial_y()
+    return fx.partial_x() * fy.partial_y() - fx.partial_y() * fx.partial_y()
+
+
+def reference_polar(f: BinaryForm) -> BinaryForm:
+    d = f.degree
+    r1 = rotational_derivative(f)
+    r2 = rotational_derivative(r1)
+    return d * d * (f * f) + d * (f * r2) - (d - 1) * (r1 * r1)
+
+
+def test_integer_targets_match_fraction_reference():
+    rng = random.Random(2718)
+    for k in range(150):
+        d = rng.randint(1, 9)
+        # zero coefficients and denominators up to 12, the zero form included
+        cs = tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(d + 1)
+        )
+        f = BinaryForm(d, cs if k else (Fraction(0),) * (d + 1))
+        assert polar_form(f) == reference_polar(f)
+        if d >= 2:
+            assert hessian(f) == reference_hessian(f)
+
+
+def certificate_digest(forms) -> str:
+    rows = []
+    for f in forms:
+        for cert in (is_hyperbolic(f), is_hyperbolic_polar(f)):
+            w = cert.witness
+            rows.append([cert.verdict, None if w is None else [str(w[0]), str(w[1])]])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_certificates_are_pinned():
+    # verdicts and witnesses of both routes on every representative with
+    # D <= 21, and on l^2 * g forms whose Hessian vanishes on the line l;
+    # recorded with the Fraction-built targets and the two-pass Sturm chain
+    # (gcd sequence, then a second sequence on the squarefree part)
+    reps = [m.form for d in range(3, 22) if d != 4 for m in representatives(d)]
+    repeated = []
+    for s in (Fraction(1), Fraction(-2), Fraction(1, 3)):
+        line = LinearForm(Fraction(1), -s).to_form()
+        for d in (3, 5, 6, 7, 9):
+            repeated += [line * line * m.form for m in representatives(d)]
+    assert len(reps) == 107 and len(repeated) == 39
+    assert certificate_digest(reps) == (
+        "0bad3a1a7e8e1a7edeeee4076dfe13a9198027cad4af65861491f8e6f712e70d"
+    )
+    assert certificate_digest(repeated) == (
+        "d18dac3622121d24c75e4f6e26a99f5beb1f0d6ffcff386000e9adfedcd864fe"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, witness_t",
+    [
+        # -(repeated line)^2 * (two lines) [* a definite quadratic]: a sign
+        # change inside, so the witness is an end of an isolating interval,
+        # which the Cauchy bound of the squarefree part places
+        ("-32*x^6 - 392*x^5*y - 1688*x^4*y^2 - 3146*x^3*y^3 - 3114*x^2*y^4"
+         " - 2754*x*y^5 - 1458*y^6", Fraction(-56, 81)),
+        ("-72*x^4 - 582*x^3*y - 1649*x^2*y^2 - 1840*x*y^3 - 576*y^4", Fraction(-275, 144)),
+        ("-48*x^4 - 592*x^3*y - 2240*x^2*y^2 - 3392*x*y^3 - 1792*y^4", Fraction(-67, 112)),
+    ],
+)
+def test_non_squarefree_rejection_witness_is_pinned(text, witness_t):
+    h = parse_form(text)
+    assert is_negative_form(h) == (False, (Fraction(1), witness_t))
+    assert h.eval(1, witness_t) > 0
+
+
+def test_certify_calls_the_traced_module_globals(monkeypatch):
+    # the benchmark's tracer times hessian, polar_form and is_negative_form
+    # by rebinding these module attributes; _certify must go through them
+    calls = []
+    for name in ("hessian", "polar_form", "is_negative_form"):
+        inner = getattr(certify, name)
+
+        def wrapper(*args, _inner=inner, _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(certify, name, wrapper)
+    certify._certify.cache_clear()
+    f = parse_form("x^3 - 7*x*y^2 + y^3")
+    assert is_hyperbolic(f).is_hyperbolic
+    assert is_hyperbolic_polar(f).is_hyperbolic
+    assert calls == ["hessian", "is_negative_form", "polar_form", "is_negative_form"]
 
 
 # --------------------------------------------------------------- negativity

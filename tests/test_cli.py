@@ -49,6 +49,25 @@ def test_check_below_degree_two_is_bad_input(capsys, poly):
     assert err.startswith("bad input: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "index"])
+@pytest.mark.parametrize("poly", ["0*x^3", "(x - x)*y^2", "3: 0, 0, 0, 0"])
+def test_zero_form_is_bad_input(capsys, command, poly):
+    code, out, err = run(capsys, command, poly)
+    assert code == 2
+    assert out == ""
+    assert err == "bad input: zero form of degree 3: every coefficient is zero\n"
+
+
+@pytest.mark.parametrize("command", ["check", "index"])
+@pytest.mark.parametrize("poly", ["x^100000000", "(x^60)^2", "x^99*y^2", "(x + y)^101"])
+def test_degree_above_the_limit_is_a_parse_error(capsys, command, poly):
+    code, out, err = run(capsys, command, poly)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and "limit of 100" in err
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------------- index
 
 

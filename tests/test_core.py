@@ -17,6 +17,7 @@ from hypforms import (
     parse_form,
     rotational_derivative,
 )
+from hypforms.core import MAX_DEGREE
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -74,6 +75,33 @@ def test_parse_rejects_garbage():
     for bad in ("", "x +", "x^", "z^2", "(x", "x^-2", "x^2 * * y"):
         with pytest.raises(ParseError):
             parse_form(bad)
+
+
+def test_zero_form_keeps_its_degree():
+    for text in ("0*x^3", "(x - x)*y^2", "0*x^3 + 0", "x^2*y - y*x^2"):
+        f = parse_form(text)
+        assert f.degree == 3 and f.is_zero()
+    assert parse_form("x^3 + 0") == parse_form("x^3")
+
+
+def test_cancelled_monomials_count_for_homogeneity():
+    for bad in ("x^2 - x^2 + y^3", "0*(1 + x)"):
+        with pytest.raises(ParseError, match="not homogeneous"):
+            parse_form(bad)
+
+
+def test_parse_degree_limit():
+    assert parse_form(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_form("(x - y)^50*(x + y)^50").degree == MAX_DEGREE
+    for bad in (f"x^{MAX_DEGREE + 1}", "x^100000000", "(x^51)^2", "x^51*y^50",
+                f"{MAX_DEGREE + 1}: " + ", ".join(["1"] * (MAX_DEGREE + 2))):
+        with pytest.raises(ParseError, match=f"limit of {MAX_DEGREE}"):
+            parse_form(bad)
+
+
+def test_parse_rejects_overlong_numeral():
+    with pytest.raises(ParseError, match="too long"):
+        parse_form("1" * 5000 + "*x^2")
 
 
 def test_format_round_trip_known():

@@ -1,8 +1,5 @@
 """Verification suite plumbing: reports, determinism, range validation."""
 
-import os
-from unittest import mock
-
 import pytest
 
 from hypforms.verify import (
@@ -45,10 +42,7 @@ def test_reports_are_sorted_and_complete():
 
 
 def test_run_all_returns_every_suite():
-    with mock.patch.dict(os.environ, {"HYPFORMS_THREADS": "4"}):
-        reports = run_suite(
-            "all", d_max=9, n_max=12
-        )
+    reports = run_suite("all", d_max=9, n_max=12)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
     assert all(r.ok for r in reports)
 
