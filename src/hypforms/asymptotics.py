@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .certify import hessian, is_hyperbolic, is_negative_form, require_hyperbolic
 from .classify import RefinementError, count_real_linear_factors
-from .core import BinaryForm, Rat
+from .core import BinaryForm, Rat, second_partials
 
 _MAX_DEPTH = 24
 
@@ -65,13 +64,6 @@ class IsotopyCheck:
     failed_ts: tuple[Fraction, ...] = ()
 
 
-@lru_cache(maxsize=512)
-def _second_partials(f: BinaryForm) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
-    fx = f.partial_x()
-    fy = f.partial_y()
-    return fx.partial_x(), fx.partial_y(), fy.partial_y()
-
-
 def second_fundamental_form(f: BinaryForm, x: float, y: float) -> QuadFormAt:
     """Second partial derivatives of f at (x, y), evaluated exactly over the
     rationals and only then rounded to float.  The base point must not be
@@ -80,7 +72,7 @@ def second_fundamental_form(f: BinaryForm, x: float, y: float) -> QuadFormAt:
         raise ValueError("second partials need degree >= 2")
     if x == 0 and y == 0:
         raise ValueError("base point must differ from the origin")
-    fxx, fxy, fyy = _second_partials(f)
+    fxx, fxy, fyy = second_partials(f)
     qx, qy = Rat(x), Rat(y)
     return QuadFormAt(
         float(fxx.eval(qx, qy)),
@@ -134,7 +126,7 @@ def poincare_index_origin(f: BinaryForm) -> Fraction:
     The hyperbolicity of f is certified exactly; the second partials are
     then evaluated in floats at each sample point of the circle."""
     require_hyperbolic(f)
-    fxx, fxy, fyy = _second_partials(f)
+    fxx, fxy, fyy = second_partials(f)
     cache: dict[float, tuple[float, float]] = {}
 
     def dirs(phi: float) -> tuple[float, float]:
@@ -234,7 +226,7 @@ def integrate_curve(
         raise ValueError("field_choice must be 'F1' or 'F2'")
     if step <= 0.0 or max_len <= 0.0:
         raise ValueError("step and max_len must be positive")
-    fxx, fxy, fyy = _second_partials(f)
+    fxx, fxy, fyy = second_partials(f)
 
     def null_dirs(x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
         # float evaluation: direction error stays at rounding level, and the
@@ -349,7 +341,7 @@ def _mixed_coeffs(
     # block.
     px, py = p.partial_x(), p.partial_y()
     qx, qy = q.partial_x(), q.partial_y()
-    pxx, pxy, pyy = _second_partials(p)
+    pxx, pxy, pyy = second_partials(p)
     a = q * pxx + Rat(2) * (px * qx)
     b = q * pxy + (px * qy + py * qx)
     c = q * pyy + Rat(2) * (py * qy)
@@ -367,7 +359,7 @@ def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     n = _validate_pair(p, q)
     px, py = p.partial_x(), p.partial_y()
     qx, qy = q.partial_x(), q.partial_y()
-    pxx, pxy, pyy = _second_partials(p)
+    pxx, pxy, pyy = second_partials(p)
     t_comb = pxx * py * qy + pyy * px * qx - pxy * (px * qy + py * qx)
     expected = Rat(2 * n, p.degree - 1) * (q * hessian(p))
     if t_comb != expected:
@@ -409,8 +401,8 @@ def check_isotopies(
 
     px, py = p.partial_x(), p.partial_y()
     qx, qy = q.partial_x(), q.partial_y()
-    pxx, pxy, pyy = _second_partials(p)
-    qxx, qxy, qyy = _second_partials(q)
+    pxx, pxy, pyy = second_partials(p)
+    qxx, qxy, qyy = second_partials(q)
     oa, ob, oc = _mixed_coeffs(p, q)
 
     def positive_off_origin(disc: BinaryForm) -> bool:

@@ -15,11 +15,10 @@ extra point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm, nextafter
 
 from .core import BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly
 
@@ -243,22 +242,6 @@ def _int_coeffs(cs) -> list[int]:
 # Sturm interface
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SturmChain:
-    """A Sturm sequence of the squarefree part of the source polynomial: its
-    signed primitive remainder sequence, divided termwise by the gcd of the
-    polynomial and its derivative.  The first term is the squarefree part."""
-
-    polys: tuple[UniPoly, ...]
-
-
-def sturm_chain(p: UniPoly) -> SturmChain:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no Sturm chain")
-    chain, _ = _sturm(_int_coeffs(p.coeffs))
-    return SturmChain(tuple(UniPoly(tuple(Fraction(c) for c in q)) for q in chain))
-
-
 def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (a, b]; a=None and b=None mean
     -infinity and +infinity.  Multiple roots count once."""
@@ -288,6 +271,50 @@ def _isolate(chain: list[list[int]], ps: list[int], lo: Fraction, hi: Fraction) 
         stack.append((a, m, nl))
         stack.append((m, b, n - nl))
     out.sort()
+    return out
+
+
+def _cauchy_bound(ps: list[int]) -> Fraction:
+    """Every root of ps lies inside (-bound, bound].  Rejection witnesses
+    are endpoints of the intervals isolated from this bound, so they depend
+    on its exact value."""
+    lead = abs(ps[-1])
+    return Fraction(1) + max(Fraction(abs(c), lead) for c in ps)
+
+
+def float_roots(p: UniPoly) -> list[float]:
+    """The distinct real roots of p, ascending, each rounded to the nearest
+    float.  Each isolating interval (a, b] is bisected exactly until both
+    ends round to the same float; a root met exactly at an end is taken as
+    it is."""
+    if p.is_zero():
+        raise ValueError("root isolation on the zero polynomial")
+    ints = _int_coeffs(p.coeffs)
+    if len(ints) <= 1:
+        return []
+    chain, ps = _sturm(ints)
+    bound = _cauchy_bound(ps)
+    out = []
+    for a, b in _isolate(chain, ps, -bound, bound):
+        m = b
+        while _sign_at(ps, m) != 0:
+            lo, hi = float(a), float(b)
+            if lo == hi:
+                m = a
+                break
+            if nextafter(lo, inf) == hi:
+                # neighbouring floats: the root rounds to the one on its side
+                # of the rounding boundary m between them, or to m itself
+                m = (Fraction(lo) + Fraction(hi)) / 2
+                if _sign_at(ps, m) != 0:
+                    m = Fraction(lo) if _count(chain, a, m) else Fraction(hi)
+                break
+            m = (a + b) / 2
+            if _count(chain, a, m):
+                b = m
+            else:
+                a = m
+        out.append(float(m))
     return out
 
 
@@ -361,9 +388,7 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
 
 
 def _root_witness(ints: list[int], chain, ps) -> tuple[Rat, Rat] | None:
-    # Cauchy bound keeps every root inside (-bound, bound]
-    lead = abs(ps[-1])
-    bound = Fraction(1) + max(Fraction(abs(c), lead) for c in ps)
+    bound = _cauchy_bound(ps)
     for a, b in _isolate(chain, ps, -bound, bound):
         # odd multiplicity forces a sign change, so an endpoint value >= 0
         # exists unless the single root sits exactly at b
@@ -431,15 +456,6 @@ class Certificate:
     @property
     def is_hyperbolic(self) -> bool:
         return self.verdict == "hyperbolic"
-
-    def to_dict(self) -> dict:
-        out = {"verdict": self.verdict, "method": self.method, "degree": self.degree}
-        if self.witness is not None:
-            out["witness"] = [str(self.witness[0]), str(self.witness[1])]
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 # Forms on integers: the coefficient list of sum c[i] * x^(n-i) * y^i, so that

@@ -11,12 +11,10 @@ the triple of second partials along the unit circle, one for the jet
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import BinaryForm, NotHyperbolicError, rotational_derivative
+from .core import BinaryForm, rotational_derivative, second_partials
 from .certify import require_hyperbolic, sturm_count
 
 
@@ -66,29 +64,12 @@ def num_components(degree: int) -> int:
     return (degree - 1) // 2 if degree % 2 else degree // 2
 
 
-def same_component(f: BinaryForm, g: BinaryForm) -> bool:
-    if f.degree != g.degree:
-        raise ValueError("forms of different degree are never comparable")
-    return index_gamma(f) == index_gamma(g)
-
-
 @dataclass(frozen=True)
 class ComponentReport:
     degree: int
     index: int
     component_rank: int
     factor_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "index": self.index,
-            "component_rank": self.component_rank,
-            "factor_count": self.factor_count,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def classify_form(f: BinaryForm) -> ComponentReport:
@@ -148,11 +129,7 @@ def winding_gamma_numeric(f: BinaryForm) -> int:
     """Winding of (f_xx - f_yy, 2*f_xy) along the unit circle; must equal
     index_gamma exactly after rounding."""
     require_hyperbolic(f)
-    fx = f.partial_x()
-    fy = f.partial_y()
-    exx = fx.partial_x().eval_float
-    exy = fx.partial_y().eval_float
-    eyy = fy.partial_y().eval_float
+    exx, exy, eyy = (p.eval_float for p in second_partials(f))
 
     def vec(phi: float) -> tuple[float, float]:
         x, y = math.cos(phi), math.sin(phi)
@@ -195,39 +172,3 @@ def zeros_vs_critical_points(f: BinaryForm) -> tuple[int, int]:
     zeros = 2 * count_real_linear_factors(f)
     crit = 2 * count_real_linear_factors(rotational_derivative(f))
     return zeros, crit
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    """One angular sample of both cross-check curves."""
-
-    phi: float
-    second_partials: tuple[float, float, float]  # (f_xx, f_xy, f_yy) on the circle
-    circle_jet: tuple[float, float, float]       # (f, f', f'') on the circle
-
-
-def curve_samples(f: BinaryForm, n: int) -> list[CurveSample]:
-    """n uniform samples; raises if any sample violates the defining cones."""
-    require_hyperbolic(f)
-    d = f.degree
-    fx = f.partial_x()
-    fy = f.partial_y()
-    exx = fx.partial_x().eval_float
-    exy = fx.partial_y().eval_float
-    eyy = fy.partial_y().eval_float
-    ev0 = f.eval_float
-    r1 = rotational_derivative(f)
-    ev1 = r1.eval_float
-    ev2 = rotational_derivative(r1).eval_float
-    out = []
-    for k in range(n):
-        phi = 2.0 * math.pi * k / n
-        x, y = math.cos(phi), math.sin(phi)
-        a, b, c = exx(x, y), exy(x, y), eyy(x, y)
-        u, v, w = ev0(x, y), ev1(x, y), ev2(x, y)
-        if a * c - b * b >= 0.0:
-            raise RefinementError(f"second-partial sample at phi={phi} left the cone")
-        if d * d * u * u + d * u * w - (d - 1) * v * v >= 0.0:
-            raise RefinementError(f"jet sample at phi={phi} left the cone")
-        out.append(CurveSample(phi, (a, b, c), (u, v, w)))
-    return out

@@ -13,8 +13,9 @@ Subcommands and exit codes:
   verify <suite>   0 iff every case passes, 1 on any failure, 2 bad arguments
   lemma1           0 iff the critical-point certification passes for all n
   curves           0 with the figure written, 1 not hyperbolic, 2 bad input
-                   (a step or viewport that is not finite and positive, or a
-                   step too coarse for the direction lift)
+                   (a parse error, degree below 2, zero form, a step or
+                   viewport that is not finite and positive, or a step too
+                   coarse for the direction lift)
 
 Reports are JSON on stdout; progress summaries go to stderr.  All output is
 deterministic for fixed flags; random corpora take an explicit --seed that is
@@ -28,7 +29,9 @@ import json
 import math
 import sys
 
-from .certify import Certificate, is_hyperbolic, is_hyperbolic_polar
+from .certify import (
+    Certificate, float_roots, is_hyperbolic, is_hyperbolic_polar, require_hyperbolic,
+)
 from .classify import RefinementError, admissible_indices, classify_form
 from .core import BinaryForm, NotHyperbolicError, ParseError, parse_form, format_form
 from .families import FamilyMember, arnold, f_family, g_even, p_factorized, representatives
@@ -60,13 +63,18 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _parse_nonzero(poly: str) -> BinaryForm | None:
+def _parse_domain(poly: str, what: str, min_degree: int) -> BinaryForm | None:
     """The parsed form, or None after a one-line message on stderr when the
-    text does not parse or every coefficient is zero."""
+    text does not parse, its degree is below min_degree, or every
+    coefficient is zero."""
     try:
         f = parse_form(poly)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return None
+    if f.degree < min_degree:
+        print(f"bad input: {what} is defined for degree >= {min_degree}",
+              file=sys.stderr)
         return None
     if f.is_zero():
         print(f"bad input: zero form of degree {f.degree}: every coefficient "
@@ -77,15 +85,11 @@ def _parse_nonzero(poly: str) -> BinaryForm | None:
 
 def cmd_check(poly: str) -> int:
     """Certify hyperbolicity by both methods and report any disagreement."""
-    f = _parse_nonzero(poly)
+    f = _parse_domain(poly, "hyperbolicity", 2)
     if f is None:
         return 2
-    try:
-        h = is_hyperbolic(f)
-        p = is_hyperbolic_polar(f)
-    except ValueError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
+    h = is_hyperbolic(f)
+    p = is_hyperbolic_polar(f)
     agree = h.verdict == p.verdict
     _emit(
         {
@@ -105,7 +109,7 @@ def cmd_check(poly: str) -> int:
 
 def cmd_index(poly: str) -> int:
     """Classify a hyperbolic form: index, component rank, factor count."""
-    f = _parse_nonzero(poly)
+    f = _parse_domain(poly, "classification by index", 3)
     if f is None:
         return 2
     try:
@@ -113,9 +117,6 @@ def cmd_index(poly: str) -> int:
     except NotHyperbolicError as exc:
         _emit({"input": poly, "canonical": format_form(f), "error": str(exc)})
         return 1
-    except ValueError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
     _emit(
         {
             "input": poly,
@@ -195,56 +196,12 @@ def cmd_lemma1(n_max: int) -> int:
     return 0 if report.ok else 1
 
 
-def _poly_roots_bisect(p, lo: float, hi: float, samples: int) -> list[float]:
-    """Distinct real roots of a univariate polynomial on [lo, hi] by grid
-    sign-change bisection.  Adequate here because hyperbolic forms never
-    carry repeated real lines, so every root is simple."""
-    cs = [float(c) for c in p.coeffs]
-
-    def ev(t: float) -> float:
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * t + c
-        return acc
-
-    width = (hi - lo) / samples
-    vals = [ev(lo + i * width) for i in range(samples + 1)]
-    roots = []
-    for i in range(samples + 1):
-        if vals[i] == 0.0:
-            roots.append(lo + i * width)
-    for i in range(samples):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0 or vb == 0.0 or (va > 0.0) == (vb > 0.0):
-            continue
-        a, b = lo + i * width, lo + (i + 1) * width
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            vm = ev(mid)
-            if vm == 0.0:
-                a = b = mid
-                break
-            if (vm > 0.0) == (va > 0.0):
-                a, va = mid, vm
-            else:
-                b = mid
-        roots.append(0.5 * (a + b))
-    roots.sort()
-    return roots
-
-
 def _line_directions(f: BinaryForm) -> list[tuple[float, float]]:
     """One unit vector per real zero line of f, each in the upper half plane."""
     dirs: list[tuple[float, float]] = []
-    p = f.restrict("x=1")  # roots t give the lines y = t*x
-    if not p.is_zero() and p.degree >= 1:
-        lead = abs(float(p.coeffs[-1]))
-        bound = 1.0 + max((abs(float(c)) for c in p.coeffs[:-1]), default=0.0) / lead
-        for t in _poly_roots_bisect(p, -bound, bound, samples=4096):
-            n = math.hypot(1.0, t)
-            dirs.append((1.0 / n, t / n))
+    for t in float_roots(f.restrict("x=1")):  # roots t give the lines y = t*x
+        n = math.hypot(1.0, t)
+        dirs.append((1.0 / n, t / n))
     if f.coeffs[-1] == 0:  # no y^degree term: x = 0 is a zero line
         dirs.append((0.0, 1.0))
     return dirs
@@ -269,6 +226,7 @@ def figure_curves(
     f: BinaryForm, step: float = 1e-3, viewport: float = 2.0
 ) -> list[CurvePolyline]:
     """Both asymptotic-field integral curves through every figure seed."""
+    require_hyperbolic(f)
     curves = []
     max_len = 6.0 * viewport
     for seed in _figure_seeds(f, viewport):
@@ -285,10 +243,8 @@ def figure_curves(
 def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
     """Integrate the asymptotic fields of a hyperbolic form and write the
     figure as SVG (or the raw polylines as CSV)."""
-    try:
-        f = parse_form(poly)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    f = _parse_domain(poly, "hyperbolicity", 2)
+    if f is None:
         return 2
     finite = math.isfinite(step) and math.isfinite(viewport)
     if not finite or step <= 0.0 or viewport <= 0.0:

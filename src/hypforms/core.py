@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 # Coefficient field: arbitrary-precision rationals in lowest terms with
 # positive denominator.  The stdlib Fraction already guarantees both.
@@ -306,6 +307,14 @@ def rotational_derivative(f: BinaryForm) -> BinaryForm:
     return x * f.partial_y() - y * f.partial_x()
 
 
+@lru_cache(maxsize=512)
+def second_partials(f: BinaryForm) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
+    """(f_xx, f_xy, f_yy)."""
+    fx = f.partial_x()
+    fy = f.partial_y()
+    return fx.partial_x(), fx.partial_y(), fy.partial_y()
+
+
 def euler_check(f: BinaryForm) -> bool:
     """Exact check of x*f_x + y*f_y == degree * f."""
     if f.degree < 1:
@@ -527,8 +536,3 @@ def format_form(f: BinaryForm) -> str:
         parts.append(("- " if c < 0 else "+ ") + body)
     s = " ".join(parts)
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
-def coeff_vector_string(f: BinaryForm) -> str:
-    """The "D: a_0, ..., a_D" encoding."""
-    return f"{f.degree}: " + ", ".join(str(c) for c in f.coeffs)

@@ -22,15 +22,6 @@ class FamilyMember:
     expected_index: int
     label: str
 
-    def to_dict(self) -> dict:
-        return {
-            "family_tag": self.family_tag,
-            "params": list(self.params),
-            "degree": self.form.degree,
-            "expected_index": self.expected_index,
-            "label": self.label,
-        }
-
 
 def _sum_of_squares_power(k: int) -> BinaryForm:
     return BinaryForm(2, (Fraction(1), Fraction(0), Fraction(1))) ** k

@@ -10,6 +10,7 @@ ids.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass
@@ -246,17 +247,20 @@ def _critical_point_case(n: int) -> dict:
     )
 
 
+def _critical_point_jobs(suite: str, n_max: int) -> list[tuple[str, object]]:
+    return [
+        (f"{suite}/critical-point/n={n:02d}", partial(_critical_point_case, n))
+        for n in range(2, n_max + 1)
+    ]
+
+
 def suite_lemma1(n_max: int = 40) -> SuiteReport:
     """Critical-point certification of the bump polynomial alone, for every
     n from 2 up to n_max."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     t0 = time.perf_counter()
-    jobs = [
-        (f"lemma1/critical-point/n={n:02d}", partial(_critical_point_case, n))
-        for n in range(2, n_max + 1)
-    ]
-    return _run("lemma1", jobs, t0)
+    return _run("lemma1", _critical_point_jobs("lemma1", n_max), t0)
 
 
 def suite_lemmas(n_max: int = 40) -> SuiteReport:
@@ -267,12 +271,7 @@ def suite_lemmas(n_max: int = 40) -> SuiteReport:
     if n_max < 11:
         raise ValueError("n_max must be >= 11")
     t0 = time.perf_counter()
-    jobs = []
-
-    for n in range(2, n_max + 1):
-        jobs.append(
-            (f"lemmas/critical-point/n={n:02d}", partial(_critical_point_case, n))
-        )
+    jobs = _critical_point_jobs("lemmas", n_max)
 
     for n in range(11, n_max + 1):
         def lemma2(n: int = n):
@@ -690,49 +689,17 @@ def run_suite(
     seed: int | None = None,
 ) -> list[SuiteReport]:
     """Run one named suite (or 'all') with optional range overrides; returns
-    the reports in execution order."""
+    the reports in execution order.  A suite gets each override that is set
+    and that its signature names; the others are ignored."""
     if name == "all":
         out = []
         for sub in SUITE_NAMES:
             out.extend(run_suite(sub, d_max=d_max, n_max=n_max, seed=seed))
         return out
-    kwargs = {}
-    if name == "table1":
-        fn = suite_table1
-        if d_max is not None:
-            kwargs["d_max"] = d_max
-    elif name == "conjecture":
-        fn = suite_conjecture
-        if d_max is not None:
-            kwargs["d_max"] = d_max
-    elif name == "lemmas":
-        fn = suite_lemmas
-        if n_max is not None:
-            kwargs["n_max"] = n_max
-    elif name == "hessian_expansion":
-        fn = suite_hessian_expansion
-        if n_max is not None:
-            kwargs["n_max"] = n_max
-    elif name == "equivalence":
-        fn = suite_equivalence
-        if d_max is not None:
-            kwargs["d_max"] = d_max
-        if seed is not None:
-            kwargs["seed"] = seed
-    elif name == "winding":
-        fn = suite_winding
-        if d_max is not None:
-            kwargs["d_max"] = d_max
-    elif name == "obs_arnold":
-        fn = suite_obs_arnold
-        if d_max is not None:
-            kwargs["d_max"] = d_max
-    elif name == "poincare":
-        fn = suite_poincare
-        if d_max is not None:
-            kwargs["d_max"] = d_max
-    elif name == "isotopies":
-        fn = suite_isotopies
-    else:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    return [fn(**kwargs)]
+    # looked up at call time, so a rebound suite_<name> attribute is the one run
+    fn = globals()[f"suite_{name}"]
+    accepted = inspect.signature(fn).parameters
+    overrides = {"d_max": d_max, "n_max": n_max, "seed": seed}
+    return [fn(**{k: v for k, v in overrides.items() if v is not None and k in accepted})]

@@ -6,6 +6,7 @@ definiteness decisions; the package itself never imports it.
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ from hypforms import (
     representatives,
     require_hyperbolic,
     rotational_derivative,
-    sturm_chain,
     sturm_count,
 )
 
@@ -133,6 +133,7 @@ def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, 
         assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
     for lo, hi in certify._isolate(*certify._sturm(certify._int_coeffs(p.coeffs)), Fraction(-4), Fraction(4)):
         assert sum(1 for r in roots if lo < r <= hi) == 1
+    assert certify.float_roots(p) == [float(r) for r in roots]
 
 
 def test_sturm_count_half_open_convention():
@@ -150,19 +151,38 @@ def test_sturm_handles_repeated_roots():
 
 
 def test_sturm_chain_endpoints():
-    p = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))
-    chain = sturm_chain(p)
-    assert chain.polys[0] == p
+    chain, ps = certify._sturm([-2, 0, 1])  # t^2 - 2
+    assert chain[0] == ps == [-2, 0, 1]
 
 
 def test_sturm_chain_starts_with_the_squarefree_part():
     # (t - 1)^3 (t + 2)^2 / 5 has the primitive squarefree part (t - 1)(t + 2)
     p = Fraction(1, 5) * (linear_power(Fraction(1), 3) * linear_power(Fraction(-2), 2))
-    chain = sturm_chain(p)
-    assert chain.polys[0] == linear_power(Fraction(1), 1) * linear_power(Fraction(-2), 1)
+    chain, ps = certify._sturm(certify._int_coeffs(p.coeffs))
+    assert chain[0] == ps == [-2, 1, 1]
     # the derivative divided by gcd(p, p') = (t - 1)^2 (t + 2), not ps'
-    assert chain.polys[1] == UniPoly((Fraction(4), Fraction(5)))
-    assert chain.polys[-1].degree == 0
+    assert chain[1] == [4, 5]
+    assert len(chain[-1]) == 1
+
+
+@pytest.mark.parametrize("root", [
+    Fraction(2**53 + 1, 2**53),   # halfway between 1 and the next float: rounds to even 1.0
+    Fraction(2**53 + 3, 2**53),   # halfway again: rounds to the even neighbour above
+    Fraction(2**53 + 2, 2**53),   # a float
+    Fraction(1, 3),
+    Fraction(-10**20 - 1, 7),
+])
+def test_float_roots_round_rational_roots_to_nearest(root):
+    # (t - root)(t^2 + 1): one real root, rounded as float(Fraction) rounds it
+    p = linear_power(root, 1) * UniPoly((Fraction(1), Fraction(0), Fraction(1)))
+    assert certify.float_roots(p) == [float(root)]
+
+
+def test_float_roots_round_irrational_roots_to_nearest():
+    # 2t^3 - 10t = 2t(t^2 - 5); sqrt is correctly rounded
+    p = UniPoly((Fraction(0), Fraction(-10), Fraction(0), Fraction(2)))
+    assert certify.float_roots(p) == [-math.sqrt(5), 0.0, math.sqrt(5)]
+    assert certify.float_roots(UniPoly.const(3)) == []
 
 
 # ------------------------------------------------------------ target forms

@@ -14,11 +14,9 @@ from hypforms import (
     admissible_indices,
     classify_form,
     count_real_linear_factors,
-    curve_samples,
     index_gamma,
     num_components,
     parse_form,
-    same_component,
     winding_alpha_numeric,
     winding_gamma_numeric,
     zeros_vs_critical_points,
@@ -105,15 +103,6 @@ def test_component_count_closed_form(d):
     assert all((i - d) % 2 == 0 for i in idxs)
 
 
-def test_same_component():
-    f = parse_form("x^3 - x*y^2")
-    g = parse_form("x^3 - 4*x*y^2")  # three real lines as well
-    assert same_component(f, g)
-    h = parse_form("x^3*y - x*y^3")
-    with pytest.raises(ValueError):
-        same_component(f, h)  # different degrees have no common component
-
-
 # ----------------------------------------------------------------- winding
 
 
@@ -145,18 +134,3 @@ def test_zeros_vs_critical_counts_value():
     # consecutive zeros, so the counts agree at 6
     z, c = zeros_vs_critical_points(parse_form("x^3 - x*y^2"))
     assert (z, c) == (6, 6)
-
-
-# ------------------------------------------------------------ curve samples
-
-
-def test_curve_samples_shape_and_values():
-    f = parse_form("x^3 - x*y^2")
-    samples = curve_samples(f, 16)
-    assert len(samples) == 16
-    first = samples[0]  # phi = 0: point (1, 0)
-    assert first.phi == 0.0
-    fxx = f.partial_x().partial_x()
-    assert abs(first.second_partials[0] - float(fxx.eval(1, 0))) < 1e-12
-    # circle jet leads with the value of f itself
-    assert abs(first.circle_jet[0] - float(f.eval(1, 0))) < 1e-12

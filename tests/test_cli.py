@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
-from hypforms.cli import main
+from hypforms import arnold, sturm_count
+from hypforms.certify import float_roots
+from hypforms.cli import _line_directions, main
 
 
 def run(capsys, *argv):
@@ -81,17 +85,18 @@ def test_index_reports_classification(capsys):
 
 
 def test_index_non_hyperbolic(capsys):
-    code, out, _ = run(capsys, "index", "x^2 + y^2")
+    code, out, _ = run(capsys, "index", "x^4 + y^4")
     assert code == 1
     assert "error" in json.loads(out)
 
 
-@pytest.mark.parametrize("poly", ["x", "x*y"])
+@pytest.mark.parametrize("poly", ["x", "x^2", "x*y"])
 def test_index_below_degree_three_is_bad_input(capsys, poly):
+    # rejected before any certificate: x^2 is not hyperbolic, x*y is
     code, out, err = run(capsys, "index", poly)
     assert code == 2
     assert out == ""
-    assert err.startswith("bad input: ") and err.count("\n") == 1
+    assert err == "bad input: classification by index is defined for degree >= 3\n"
 
 
 # ------------------------------------------------------------------ family
@@ -196,6 +201,17 @@ def test_curves_rejects_non_hyperbolic(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("poly, message", [
+    ("x", "bad input: hyperbolicity is defined for degree >= 2\n"),
+    ("0*x^3", "bad input: zero form of degree 3: every coefficient is zero\n"),
+])
+def test_curves_outside_the_domain_is_bad_input(tmp_path, capsys, poly, message):
+    out = tmp_path / "x.svg"
+    code, _, err = run(capsys, "curves", "--poly", poly, "--out", str(out))
+    assert (code, err) == (2, message)
+    assert not out.exists()
+
+
 def test_curves_rejects_unknown_extension(tmp_path, capsys):
     out = tmp_path / "e.txt"
     code, _, _ = run(capsys, "curves", "--poly", "x*y", "--out", str(out))
@@ -222,15 +238,37 @@ def test_curves_too_coarse_step_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
-# sha256 of the default figure of x*(x^2 - y^2): the float evaluator, the
-# curve stepper and the seed search must keep every byte of it.  The bytes
-# also rest on the C library's pow, sqrt, hypot, cos, sin and atan2; the
-# digest was taken with CPython 3.11 and glibc 2.36 on x86-64.
-FIGURE_SHA256 = "92e3bc0b62ec73835767768b836a2b4004d9eb7dc6690330e7064ba334f0b392"
+# sha256 of the default figures of the benchmark's four forms: the float
+# evaluator, the curve stepper and the seed search must keep every byte of
+# them.  The bytes also rest on the C library's pow, sqrt, hypot, cos, sin
+# and atan2; the digests were taken with CPython 3.11 and glibc 2.36 on
+# x86-64.
+FIGURE_SHA256 = {
+    "x*(x^2 - y^2)": "92e3bc0b62ec73835767768b836a2b4004d9eb7dc6690330e7064ba334f0b392",
+    "x*y*(x^2 - y^2)": "ba627f0c1e9a0c84f158d39d6e1c7973706c2ae6457bdde679d75e896ad5d8d7",
+    "x^3 - 3*x*y^2": "5270a7bdce84118c494800c2e54a7a3d3e0a1c3b523bdd54acdf669dddbb60ae",
+    "(x^2 + y^2)*(x^3 - 3*x*y^2)":
+        "6da4837155422ad4e75cdba89b2289dec42bd2af44e7a24277818bc5db0d7688",
+}
 
 
 def test_curves_default_figure_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "h.svg"
-    code, _, _ = run(capsys, "curves", "--poly", "x*(x^2 - y^2)", "--out", str(out))
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256
+    for poly, digest in FIGURE_SHA256.items():
+        code, _, _ = run(capsys, "curves", "--poly", poly, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, poly
+
+
+@pytest.mark.parametrize("m", [12, 14, 16])
+def test_figure_seeds_every_zero_line_of_a_harmonic_power(m):
+    # near t = 0 the m lines of Re (x + iy)^m lie about pi/m apart, while the
+    # Cauchy bound of f(1, t) is 10^3 to 10^4
+    f = arnold(m, m).form
+    p = f.restrict("x=1")
+    ts = float_roots(p)
+    assert len(ts) == len(_line_directions(f)) == m
+    for t in ts:
+        lo = Fraction(math.nextafter(t, -math.inf))
+        hi = Fraction(math.nextafter(t, math.inf))
+        assert sturm_count(p, lo, hi) == 1

@@ -1,7 +1,10 @@
 """Verification suite plumbing: reports, determinism, range validation."""
 
+import functools
+
 import pytest
 
+from hypforms import verify
 from hypforms.verify import (
     DEFAULT_SEED,
     SUITE_NAMES,
@@ -45,6 +48,29 @@ def test_run_all_returns_every_suite():
     reports = run_suite("all", d_max=9, n_max=12)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
     assert all(r.ok for r in reports)
+
+
+def test_run_suite_calls_the_current_attribute_with_accepted_overrides(monkeypatch):
+    calls = []
+
+    def fake_equivalence(d_max=3, seed=0):
+        calls.append(("equivalence", d_max, seed))
+        return "equivalence report"
+
+    @functools.wraps(fake_equivalence)
+    def traced(*args, **kwargs):
+        return fake_equivalence(*args, **kwargs)
+
+    def fake_isotopies():
+        calls.append(("isotopies",))
+        return "isotopies report"
+
+    monkeypatch.setattr(verify, "suite_equivalence", traced)
+    monkeypatch.setattr(verify, "suite_isotopies", fake_isotopies)
+    assert run_suite("equivalence", d_max=5, n_max=7) == ["equivalence report"]
+    assert run_suite("equivalence", seed=9) == ["equivalence report"]
+    assert run_suite("isotopies", d_max=5, n_max=7, seed=9) == ["isotopies report"]
+    assert calls == [("equivalence", 5, 0), ("equivalence", 3, 9), ("isotopies",)]
 
 
 def test_unknown_suite_rejected():
