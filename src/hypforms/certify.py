@@ -18,27 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, lcm, nextafter
+from math import gcd, inf, nextafter
 
-from .core import BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly
+from .core import (
+    BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly,
+    _cleared, _deriv, _dx, _dy, _hom_eval, _mul_int, _over, _rot, _trim,
+)
 
 # ---------------------------------------------------------------------------
-# integer polynomial kernel
+# remainder sequences on the integer kernel of core
 #
-# Dense lists of ints, coeffs[i] * t^i, trailing zeros stripped.  Keeping the
-# chains integral and primitive bounds coefficient growth and avoids Fraction
-# overhead in the inner loops.
+# Polynomials are dense lists of ints, coeffs[i] * t^i, trailing zeros
+# stripped.  Keeping the chains integral and primitive bounds coefficient
+# growth.
 # ---------------------------------------------------------------------------
-
-
-def _trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _deriv(p: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def _content(p: list[int]) -> int:
@@ -167,28 +160,10 @@ def _zip_pad(a: list[int], b: list[int]):
     return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
-def _mul_int(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return out
-
-
 def _sign_at(p: list[int], t: Fraction) -> int:
-    """Sign of p at the rational t, via homogenized all-integer Horner."""
-    if not p:
-        return 0
-    num, den = t.numerator, t.denominator
-    acc = p[-1]
-    dp = 1
-    for i in range(len(p) - 2, -1, -1):
-        dp *= den
-        acc = acc * num + p[i] * dp
-    return (acc > 0) - (acc < 0)
+    """Sign of p at the rational t = num/den: the sign of den^n * p(t)."""
+    v = _hom_eval(p, t.denominator, t.numerator)
+    return (v > 0) - (v < 0)
 
 
 def _sign_at_inf(p: list[int], positive: bool) -> int:
@@ -223,13 +198,6 @@ def _count(chain: list[list[int]], a: Fraction | None, b: Fraction | None) -> in
     va = _var_at(chain, a, positive_inf=False)
     vb = _var_at(chain, b, positive_inf=True)
     return va - vb
-
-
-def _cleared(cs) -> tuple[list[int], int]:
-    """(ints, den) with cs[i] == ints[i] / den and den the lcm of the
-    denominators: the integer model of a Fraction coefficient sequence."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _int_coeffs(cs) -> list[int]:
@@ -458,32 +426,8 @@ class Certificate:
         return self.verdict == "hyperbolic"
 
 
-# Forms on integers: the coefficient list of sum c[i] * x^(n-i) * y^i, so that
-# products of forms are _mul_int.  hessian and polar_form are quadratic in f,
-# so they run on den*f and divide by den^2 once at the end.
-
-
-def _dx(c: list[int]) -> list[int]:
-    n = len(c) - 1
-    return [(n - i) * c[i] for i in range(n)]
-
-
-def _dy(c: list[int]) -> list[int]:
-    return [(i + 1) * c[i + 1] for i in range(len(c) - 1)]
-
-
-def _rot(c: list[int]) -> list[int]:
-    """x*c_y - y*c_x, the same degree as c."""
-    xcy = _dy(c) + [0]
-    ycx = [0] + _dx(c)
-    return [u - v for u, v in zip(xcy, ycx)]
-
-
-def _over_square(degree: int, c: list[int], den: int) -> BinaryForm:
-    if den == 1:
-        return BinaryForm(degree, tuple(c))
-    den2 = den * den
-    return BinaryForm(degree, tuple(Fraction(v, den2) for v in c))
+# hessian and polar_form are quadratic in f, so they run on the integer form
+# den*f and divide by den^2 once at the end.
 
 
 def hessian(f: BinaryForm) -> BinaryForm:
@@ -496,7 +440,7 @@ def hessian(f: BinaryForm) -> BinaryForm:
     h = _mul_int(_dx(cx), _dy(_dy(c)))
     for i, v in enumerate(_mul_int(cxy, cxy)):
         h[i] -= v
-    return _over_square(2 * f.degree - 4, h, den)
+    return BinaryForm(2 * f.degree - 4, _over(h, den * den))
 
 
 def polar_form(f: BinaryForm) -> BinaryForm:
@@ -509,7 +453,7 @@ def polar_form(f: BinaryForm) -> BinaryForm:
     r1 = _rot(c)
     pol = [d * d * u + d * v - (d - 1) * w for u, v, w in
            zip(_mul_int(c, c), _mul_int(c, _rot(r1)), _mul_int(r1, r1))]
-    return _over_square(2 * d, pol, den)
+    return BinaryForm(2 * d, _over(pol, den * den))
 
 
 @lru_cache(maxsize=8192)

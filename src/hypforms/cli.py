@@ -9,13 +9,18 @@ Subcommands and exit codes:
   index <poly>     0 with the classification report, 1 not hyperbolic, 2 parse
                    error or a form outside the domain (degree below 3, zero
                    form)
-  family <kind>    0 with one JSON member per line, 2 bad parameters
+  family <kind>    0 with one JSON member per line, 2 bad parameters (also a
+                   member above degree MAX_DEGREE = 100)
   verify <suite>   0 iff every case passes, 1 on any failure, 2 bad arguments
-  lemma1           0 iff the critical-point certification passes for all n
+                   (a range outside a selected suite's, checked for every
+                   selected suite before the first one runs)
+  lemma1           0 iff the critical-point certification passes for all n,
+                   1 on any failure, 2 an --n-max below 2 or above 49
   curves           0 with the figure written, 1 not hyperbolic, 2 bad input
                    (a parse error, degree below 2, zero form, a step or
-                   viewport that is not finite and positive, or a step too
-                   coarse for the direction lift)
+                   viewport that is not finite and positive, more than
+                   MAX_ARM_STEPS steps per curve arm, or a step too coarse
+                   for the direction lift)
 
 Reports are JSON on stdout; progress summaries go to stderr.  All output is
 deterministic for fixed flags; random corpora take an explicit --seed that is
@@ -222,13 +227,20 @@ def _figure_seeds(f: BinaryForm, viewport: float) -> list[tuple[float, float]]:
     return seeds
 
 
+# Curve length of a figure per unit of viewport; each curve grows two arms of
+# half that length, so an arm plans 3 * viewport / step steps (6,000 at the
+# defaults).  cmd_curves rejects a step and viewport past MAX_ARM_STEPS.
+FIGURE_LENGTH = 6.0
+MAX_ARM_STEPS = 100_000
+
+
 def figure_curves(
     f: BinaryForm, step: float = 1e-3, viewport: float = 2.0
 ) -> list[CurvePolyline]:
     """Both asymptotic-field integral curves through every figure seed."""
     require_hyperbolic(f)
     curves = []
-    max_len = 6.0 * viewport
+    max_len = FIGURE_LENGTH * viewport
     for seed in _figure_seeds(f, viewport):
         for field in ("F1", "F2"):
             curves.append(
@@ -249,6 +261,11 @@ def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
     finite = math.isfinite(step) and math.isfinite(viewport)
     if not finite or step <= 0.0 or viewport <= 0.0:
         print("step and viewport must be finite and positive", file=sys.stderr)
+        return 2
+    arm_steps = FIGURE_LENGTH * viewport / 2.0 / step
+    if arm_steps > MAX_ARM_STEPS:
+        print(f"step too small for the viewport: {arm_steps:.3g} steps per curve arm, "
+              f"above the limit of {MAX_ARM_STEPS}", file=sys.stderr)
         return 2
     try:
         curves = figure_curves(f, step=step, viewport=viewport)

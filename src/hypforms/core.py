@@ -5,8 +5,11 @@ A binary form of degree D is stored densely as the coefficient tuple
 
     f(x, y) = sum_i a_i * x^(D-i) * y^i.
 
-All coefficient arithmetic is exact (fractions.Fraction); floats only
-appear in BinaryForm.eval_float, the one float evaluator behind the numeric
+Coefficients are exact rationals (fractions.Fraction), but every product,
+derivative and exact evaluation runs in the integer kernel below, on the
+integer list that clears the coefficients over one common denominator;
+Fraction appears only where a result leaves the kernel.  Floats only appear
+in BinaryForm.eval_float, the one float evaluator behind the numeric
 cross-checks, the direction lift and the curve stepper.  It converts the
 coefficients to floats on its first call and caches them on the instance,
 so forms that are never evaluated in floats pay nothing.
@@ -18,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 # Coefficient field: arbitrary-precision rationals in lowest terms with
 # positive denominator.  The stdlib Fraction already guarantees both.
@@ -38,6 +42,80 @@ def _rat(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial kernel
+#
+# Dense lists of ints.  A polynomial is sum c[i] * t^i and a form of degree n
+# is sum c[i] * x^(n-i) * y^i, so one product serves both.  Rationals enter
+# through _cleared (ints over the lcm of the denominators) and leave through
+# _over; everything between runs on ints, free of Fraction normalisation.
+# ---------------------------------------------------------------------------
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _deriv(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _mul_int(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def _dx(c: list[int]) -> list[int]:
+    n = len(c) - 1
+    return [(n - i) * c[i] for i in range(n)]
+
+
+def _dy(c: list[int]) -> list[int]:
+    return [(i + 1) * c[i + 1] for i in range(len(c) - 1)]
+
+
+def _rot(c: list[int]) -> list[int]:
+    """x*c_y - y*c_x, the same degree as c."""
+    xcy = _dy(c) + [0]
+    ycx = [0] + _dx(c)
+    return [u - v for u, v in zip(xcy, ycx)]
+
+
+def _hom_eval(c: list[int], u: int, v: int) -> int:
+    """sum c[i] * u^(n-i) * v^i for n = len(c) - 1, by Horner in v with the
+    powers of u carried along; 0 for the empty list."""
+    if not c:
+        return 0
+    acc = c[-1]
+    up = 1
+    for i in range(len(c) - 2, -1, -1):
+        up *= u
+        acc = acc * v + c[i] * up
+    return acc
+
+
+def _cleared(cs) -> tuple[list[int], int]:
+    """(ints, den) with cs[i] == ints[i] / den and den the lcm of the
+    denominators: the integer model of a Fraction coefficient sequence."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _over(c: list[int], den: int) -> tuple[Fraction, ...]:
+    """The coefficients c[i] / den, leaving the kernel."""
+    if den == 1:
+        return tuple(map(Fraction, c))
+    return tuple(Fraction(v, den) for v in c)
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +150,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __add__(self, other: UniPoly) -> UniPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -94,53 +167,24 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return UniPoly(tuple(out))
+            a, da = _cleared(self.coeffs)
+            b, db = _cleared(other.coeffs)
+            return UniPoly(_over(_mul_int(a, b), da * db))
         return UniPoly(tuple(c * _rat(other) for c in self.coeffs))
 
     def __rmul__(self, other) -> UniPoly:
         return self * other
 
     def derivative(self) -> UniPoly:
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        c, den = _cleared(self.coeffs)
+        return UniPoly(_over(_deriv(c), den))
 
     def __call__(self, t) -> Fraction:
+        # p(a/b) = (sum c_i * a^i * b^(n-i)) / b^n
         t = _rat(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
-        """Exact euclidean division over the rationals."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top:
-                q = top / lead
-                quo[k] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q * b
-        return UniPoly(tuple(quo)), UniPoly(tuple(rem[: other.degree]))
-
-    def __mod__(self, other: UniPoly) -> UniPoly:
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: UniPoly) -> UniPoly:
-        return self.divmod(other)[0]
+        c, den = _cleared(self.coeffs)
+        b = t.denominator
+        return Fraction(_hom_eval(c, b, t.numerator), den * b ** max(self.degree, 0))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -199,14 +243,12 @@ class BinaryForm:
         return all(c == 0 for c in self.coeffs)
 
     def eval(self, x, y) -> Fraction:
+        # f(p/q, r/s) = (sum c_i * (p*s)^(D-i) * (r*q)^i) / (q*s)^D
         x, y = _rat(x), _rat(y)
-        d = self.degree
-        xp = [Fraction(1)] * (d + 1)
-        yp = [Fraction(1)] * (d + 1)
-        for i in range(1, d + 1):
-            xp[i] = xp[i - 1] * x
-            yp[i] = yp[i - 1] * y
-        return sum((c * xp[d - i] * yp[i] for i, c in enumerate(self.coeffs)), Fraction(0))
+        c, den = _cleared(self.coeffs)
+        q, s = x.denominator, y.denominator
+        return Fraction(_hom_eval(c, x.numerator * s, y.numerator * q),
+                        den * (q * s) ** self.degree)
 
     def eval_float(self, x: float, y: float) -> float:
         # The nonzero terms (float(a_i), D - i, i) are built on the first
@@ -237,13 +279,9 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            d = self.degree + other.degree
-            out = [Fraction(0)] * (d + 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return BinaryForm(d, tuple(out))
+            a, da = _cleared(self.coeffs)
+            b, db = _cleared(other.coeffs)
+            return BinaryForm(self.degree + other.degree, _over(_mul_int(a, b), da * db))
         return BinaryForm(self.degree, tuple(c * _rat(other) for c in self.coeffs))
 
     def __rmul__(self, other) -> BinaryForm:
@@ -260,14 +298,14 @@ class BinaryForm:
     def partial_x(self) -> BinaryForm:
         if self.degree == 0:
             raise ValueError("partial derivative needs degree >= 1")
-        d = self.degree
-        return BinaryForm(d - 1, tuple((d - i) * self.coeffs[i] for i in range(d)))
+        c, den = _cleared(self.coeffs)
+        return BinaryForm(self.degree - 1, _over(_dx(c), den))
 
     def partial_y(self) -> BinaryForm:
         if self.degree == 0:
             raise ValueError("partial derivative needs degree >= 1")
-        d = self.degree
-        return BinaryForm(d - 1, tuple((i + 1) * self.coeffs[i + 1] for i in range(d)))
+        c, den = _cleared(self.coeffs)
+        return BinaryForm(self.degree - 1, _over(_dy(c), den))
 
     def restrict(self, chart: str) -> UniPoly:
         """Dehomogenize: chart "x=1" gives f(1, t), chart "y=1" gives f(t, 1)."""
@@ -302,9 +340,8 @@ def rotational_derivative(f: BinaryForm) -> BinaryForm:
     """x*f_y - y*f_x; restricting to the unit circle differentiates in the angle."""
     if f.degree < 1:
         raise ValueError("rotational derivative needs degree >= 1")
-    x = BinaryForm(1, (Fraction(1), Fraction(0)))
-    y = BinaryForm(1, (Fraction(0), Fraction(1)))
-    return x * f.partial_y() - y * f.partial_x()
+    c, den = _cleared(f.coeffs)
+    return BinaryForm(f.degree, _over(_rot(c), den))
 
 
 @lru_cache(maxsize=512)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .core import BinaryForm
+from .core import MAX_DEGREE, BinaryForm
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,12 @@ class FamilyMember:
     params: tuple[int, ...]
     expected_index: int
     label: str
+
+
+def _check_degree(d: int) -> None:
+    """Reject a member above MAX_DEGREE before any of it is built."""
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree {d} is above the limit of {MAX_DEGREE}")
 
 
 def _sum_of_squares_power(k: int) -> BinaryForm:
@@ -45,6 +51,7 @@ def arnold(d: int, m: int) -> FamilyMember:
         raise ValueError("d - m must be even")
     if not m <= d < m * m:
         raise ValueError(f"need m <= d < m^2, got m={m}, d={d}")
+    _check_degree(d)
     form = _sum_of_squares_power((d - m) // 2) * _real_part_power(m)
     label = f"P_{m}" if d == m else f"P_{m} Q_{d - m}"
     return FamilyMember(form, "arnold", (d, m), 2 - m, label)
@@ -66,6 +73,7 @@ def p_factorized(k: int, even: bool = False) -> FamilyMember:
     distinct, so the index is 2 - degree."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_degree(2 * k + (2 if even else 1))
     form = _line_product(k, even)
     d = form.degree
     return FamilyMember(form, "pfact", (k, 1 if even else 0), 2 - d, f"P_{d}")
@@ -77,6 +85,7 @@ def g_even(n: int) -> FamilyMember:
     -144 x^2 y^2, zero on two lines)."""
     if n < 2:
         raise ValueError("g family needs n >= 2")
+    _check_degree(2 * n + 2)
     q = BinaryForm.monomial(2 * n, 0) + BinaryForm.monomial(2 * n, 2 * n)
     form = BinaryForm(2, (Fraction(1), Fraction(0), Fraction(-1))) * q
     return FamilyMember(form, "g", (n,), 0, f"g_{2 * n + 2}")
@@ -89,6 +98,7 @@ def f_family(n: int, k: int, even: bool = False) -> FamilyMember:
         raise ValueError("f family needs n >= 1")
     if k < 1:
         raise ValueError("f family needs k >= 1")
+    _check_degree(2 * n + 2 * k + (2 if even else 1))
     q = BinaryForm.monomial(2 * n, 0) + BinaryForm.monomial(2 * n, 2 * n)
     base = _line_product(k, even)
     form = q * base
@@ -106,6 +116,7 @@ def representatives(d: int) -> list[FamilyMember]:
         raise ValueError("representatives need degree >= 3")
     if d == 4:
         raise ValueError("no representative set is constructed for degree 4")
+    _check_degree(d)
     members: list[FamilyMember] = []
     if d % 2 == 1:
         for j in range((d - 3) // 2, 0, -1):
@@ -132,6 +143,7 @@ def table1(d_max: int = 16) -> list[FamilyMember]:
     each row ordered by descending m."""
     if d_max < 3:
         raise ValueError("d_max must be >= 3")
+    _check_degree(d_max)
     out = []
     for d in range(3, d_max + 1):
         m = d

@@ -37,7 +37,7 @@ from .classify import (
     winding_gamma_numeric,
     zeros_vs_critical_points,
 )
-from .core import BinaryForm, LinearForm, Rat, UniPoly, parse_form
+from .core import MAX_DEGREE, BinaryForm, LinearForm, Rat, UniPoly, parse_form
 from .families import (
     FamilyMember,
     f_family,
@@ -60,6 +60,37 @@ SUITE_NAMES = (
     "poincare",
     "isotopies",
 )
+
+# The one range-checked override of each suite: (name, low, high).  With high
+# None the suite's own range has no upper end, and n_max stays at most
+# BUMP_N_MAX: the critical-point cases build the bump polynomial of degree
+# 2n + 2, which MAX_DEGREE bounds.
+_RANGES = {
+    "table1": ("d_max", 3, 16),
+    "conjecture": ("d_max", 3, 24),
+    "lemma1": ("n_max", 2, None),
+    "lemmas": ("n_max", 11, None),
+    "hessian_expansion": ("n_max", 2, 14),
+    "equivalence": ("d_max", 3, 20),
+    "winding": ("d_max", 3, 16),
+    "obs_arnold": ("d_max", 9, 16),
+    "poincare": ("d_max", 3, 12),
+}
+BUMP_N_MAX = (MAX_DEGREE - 2) // 2
+
+
+def _check_range(suite: str, value: int) -> None:
+    name, lo, hi = _RANGES[suite]
+    if hi is not None:
+        if not lo <= value <= hi:
+            raise ValueError(f"{name} must be within {lo}..{hi}")
+    elif value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    elif value > BUMP_N_MAX:
+        raise ValueError(
+            f"{name} must be <= {BUMP_N_MAX}: the bump polynomial of degree "
+            f"2n + 2 may not exceed degree {MAX_DEGREE}"
+        )
 
 
 @dataclass
@@ -133,8 +164,7 @@ def _exact(expected, got) -> dict:
 def suite_table1(d_max: int = 16) -> SuiteReport:
     """Every rotationally-padded harmonic-power member up to degree d_max is
     certified hyperbolic and its winding index matches the stored value."""
-    if not 3 <= d_max <= 16:
-        raise ValueError("d_max must be within 3..16")
+    _check_range("table1", d_max)
     t0 = time.perf_counter()
     jobs = []
     for mem in table1(d_max):
@@ -157,8 +187,7 @@ def suite_conjecture(d_max: int = 20) -> SuiteReport:
     """Per degree: the representative set is certified hyperbolic, its index
     list enumerates the admissible indexes exactly once each, and every
     index respects the parity and range bounds."""
-    if not 3 <= d_max <= 24:
-        raise ValueError("d_max must be within 3..24")
+    _check_range("conjecture", d_max)
     t0 = time.perf_counter()
     jobs = []
     for d in range(3, d_max + 1):
@@ -257,8 +286,7 @@ def _critical_point_jobs(suite: str, n_max: int) -> list[tuple[str, object]]:
 def suite_lemma1(n_max: int = 40) -> SuiteReport:
     """Critical-point certification of the bump polynomial alone, for every
     n from 2 up to n_max."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    _check_range("lemma1", n_max)
     t0 = time.perf_counter()
     return _run("lemma1", _critical_point_jobs("lemma1", n_max), t0)
 
@@ -268,8 +296,7 @@ def suite_lemmas(n_max: int = 40) -> SuiteReport:
     rotational-pad family: the bump polynomial's unique interior critical
     point and maximum, two strict-negativity bounds for n >= 11, and the
     non-strict middle-block bound for 2 <= n <= 11."""
-    if n_max < 11:
-        raise ValueError("n_max must be >= 11")
+    _check_range("lemmas", n_max)
     t0 = time.perf_counter()
     jobs = _critical_point_jobs("lemmas", n_max)
 
@@ -323,8 +350,7 @@ def suite_hessian_expansion(n_max: int = 10) -> SuiteReport:
     16n^2 in place of 16n^3 is shown to disagree by exactly 16n^2(n-1) at
     exponent 2n+2.  Includes the degree-4 rejection and acceptance range of
     the even family."""
-    if not 2 <= n_max <= 14:
-        raise ValueError("n_max must be within 2..14")
+    _check_range("hessian_expansion", n_max)
     t0 = time.perf_counter()
     jobs = []
     for n in range(2, n_max + 1):
@@ -410,8 +436,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
     agree on every family member and on a seeded random corpus, rejection
     witnesses actually witness, and the product-with-a-line Hessian identity
     holds with the extension criterion matching direct certification."""
-    if not 3 <= d_max <= 20:
-        raise ValueError("d_max must be within 3..20")
+    _check_range("equivalence", d_max)
     t0 = time.perf_counter()
     jobs = []
     members = list(table1(min(d_max, 16)))
@@ -478,8 +503,7 @@ def suite_winding(d_max: int = 12) -> SuiteReport:
     """Numeric winding of the degenerate-cone curve equals the factor-count
     index and sits two above the winding of the circle-restriction jet curve;
     circle zero counts equal circle critical-point counts."""
-    if not 3 <= d_max <= 16:
-        raise ValueError("d_max must be within 3..16")
+    _check_range("winding", d_max)
     t0 = time.perf_counter()
     jobs = []
     members: list[FamilyMember] = []
@@ -520,8 +544,7 @@ def suite_obs_arnold(d_max: int = 16) -> SuiteReport:
     """For odd degrees 9 and up the harmonic-power table reaches no index -1
     entry while the representative set does; for odd degrees 3..7 the table
     still contains index -1."""
-    if not 9 <= d_max <= 16:
-        raise ValueError("d_max must be within 9..16")
+    _check_range("obs_arnold", d_max)
     t0 = time.perf_counter()
     jobs = []
     rows: dict[int, set[int]] = {}
@@ -555,8 +578,7 @@ def suite_poincare(d_max: int = 12) -> SuiteReport:
     """The turning index of a null-direction field at the origin is half the
     degenerate-cone winding on every representative, and matches the closed
     forms for the generated families."""
-    if not 3 <= d_max <= 12:
-        raise ValueError("d_max must be within 3..12")
+    _check_range("poincare", d_max)
     t0 = time.perf_counter()
     jobs = []
     for d in range(3, d_max + 1):
@@ -690,16 +712,18 @@ def run_suite(
 ) -> list[SuiteReport]:
     """Run one named suite (or 'all') with optional range overrides; returns
     the reports in execution order.  A suite gets each override that is set
-    and that its signature names; the others are ignored."""
-    if name == "all":
-        out = []
-        for sub in SUITE_NAMES:
-            out.extend(run_suite(sub, d_max=d_max, n_max=n_max, seed=seed))
-        return out
-    if name not in SUITE_NAMES:
+    and that its signature names; the others are ignored.  The overrides of
+    every selected suite are range-checked before the first one runs."""
+    if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    # looked up at call time, so a rebound suite_<name> attribute is the one run
-    fn = globals()[f"suite_{name}"]
-    accepted = inspect.signature(fn).parameters
     overrides = {"d_max": d_max, "n_max": n_max, "seed": seed}
-    return [fn(**{k: v for k, v in overrides.items() if v is not None and k in accepted})]
+    calls = []
+    for sub in SUITE_NAMES if name == "all" else (name,):
+        # looked up at call time, so a rebound suite_<name> attribute is the one run
+        fn = globals()[f"suite_{sub}"]
+        accepted = inspect.signature(fn).parameters
+        kwargs = {k: v for k, v in overrides.items() if v is not None and k in accepted}
+        if sub in _RANGES and _RANGES[sub][0] in kwargs:
+            _check_range(sub, kwargs[_RANGES[sub][0]])
+        calls.append((fn, kwargs))
+    return [fn(**kwargs) for fn, kwargs in calls]

@@ -188,16 +188,33 @@ def test_float_roots_round_irrational_roots_to_nearest():
 # ------------------------------------------------------------ target forms
 
 
+def sympy_poly(f: BinaryForm) -> sympy.Poly:
+    return sympy.Poly(to_sympy_form(f), X, Y, domain="QQ")
+
+
+def from_sympy_poly(poly: sympy.Poly, degree: int) -> BinaryForm:
+    rats = (poly.coeff_monomial((degree - i, i)) for i in range(degree + 1))
+    return BinaryForm(degree, tuple(Fraction(int(r.p), int(r.q)) for r in rats))
+
+
+def sympy_rot(poly: sympy.Poly) -> sympy.Poly:
+    return sympy.Poly(X, X, Y) * poly.diff(Y) - sympy.Poly(Y, X, Y) * poly.diff(X)
+
+
+# The references run on sympy, not on BinaryForm, whose products and
+# derivatives share the integer kernel with hessian and polar_form.
 def reference_hessian(f: BinaryForm) -> BinaryForm:
-    fx, fy = f.partial_x(), f.partial_y()
-    return fx.partial_x() * fy.partial_y() - fx.partial_y() * fx.partial_y()
+    F = sympy_poly(f)
+    h = F.diff((X, 2)) * F.diff((Y, 2)) - F.diff(X, Y) ** 2
+    return from_sympy_poly(h, 2 * f.degree - 4)
 
 
 def reference_polar(f: BinaryForm) -> BinaryForm:
     d = f.degree
-    r1 = rotational_derivative(f)
-    r2 = rotational_derivative(r1)
-    return d * d * (f * f) + d * (f * r2) - (d - 1) * (r1 * r1)
+    F = sympy_poly(f)
+    r1 = sympy_rot(F)
+    r2 = sympy_rot(r1)
+    return from_sympy_poly(d * d * F**2 + d * F * r2 - (d - 1) * r1**2, 2 * d)
 
 
 def test_integer_targets_match_fraction_reference():
@@ -213,6 +230,48 @@ def test_integer_targets_match_fraction_reference():
         assert polar_form(f) == reference_polar(f)
         if d >= 2:
             assert hessian(f) == reference_hessian(f)
+
+
+def test_kernel_matches_sympy():
+    # products, derivatives, the rotational derivative and exact evaluation
+    # of BinaryForm and UniPoly, and certify._sign_at, on seeded forms with
+    # zero and non-integer coefficients, degree 0 and the zero form included
+    rng = random.Random(1618)
+    points = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
+              (Fraction(-3, 2), Fraction(5, 7)), (Fraction(-1), Fraction(-2)),
+              (Fraction(2, 3), Fraction(-4))]
+
+    def form(d: int) -> BinaryForm:
+        return BinaryForm(d, tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(d + 1)
+        ))
+
+    for k in range(80):
+        d, e = rng.randint(0, 6), rng.randint(0, 6)
+        f = form(d) if k % 8 else BinaryForm.zero(d)
+        g = form(e)
+        F, G = sympy_poly(f), sympy_poly(g)
+        assert f * g == from_sympy_poly(F * G, d + e)
+        assert f ** 2 == from_sympy_poly(F**2, 2 * d)
+        if d >= 1:
+            assert f.partial_x() == from_sympy_poly(F.diff(X), d - 1)
+            assert f.partial_y() == from_sympy_poly(F.diff(Y), d - 1)
+            assert rotational_derivative(f) == from_sympy_poly(sympy_rot(F), d)
+        for x, y in points:
+            want = F.eval({X: sympy.Rational(x), Y: sympy.Rational(y)})
+            assert f.eval(x, y) == Fraction(int(want.p), int(want.q))
+
+        p, q = f.restrict("x=1"), g.restrict("y=1")
+        P, Q = to_sympy_uni(p), to_sympy_uni(q)
+        assert to_sympy_uni(p * q) == sympy.expand(P * Q)
+        assert to_sympy_uni(p.derivative()) == sympy.diff(P, T)
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        ints = [int(c * den) for c in p.coeffs]
+        for t, _ in points:
+            want = sympy.Rational(sympy.sympify(P).subs(T, sympy.Rational(t)))
+            assert p(t) == Fraction(int(want.p), int(want.q))
+            assert certify._sign_at(ints, t) == sympy.sign(want)
 
 
 def certificate_digest(forms) -> str:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, figure emission."""
 
+import functools
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 
 from hypforms import arnold, sturm_count
 from hypforms.certify import float_roots
+from hypforms import cli, verify
 from hypforms.cli import _line_directions, main
 
 
@@ -128,6 +130,29 @@ def test_family_bad_params(capsys):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("pfact", "50"), ("pfact", "50", "--even"), ("g", "50"), ("f", "1", "49"),
+    ("reps", "101"), ("arnold", "101", "11"),
+])
+def test_family_member_above_the_degree_limit_is_rejected(capsys, monkeypatch, argv):
+    def no_product(self, other):
+        raise AssertionError("a product was built")
+    monkeypatch.setattr(cli.BinaryForm, "__mul__", no_product)
+    code, out, err = run(capsys, "family", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad family parameters: degree ")
+    assert err.endswith(" is above the limit of 100\n") and err.count("\n") == 1
+
+
+def test_family_member_at_the_degree_limit(capsys):
+    for argv, degree in ((("pfact", "49"), 99), (("pfact", "49", "--even"), 100),
+                         (("g", "49"), 100), (("reps", "99"), 99)):
+        code, out, _ = run(capsys, "family", *argv)
+        assert code == 0
+        assert {json.loads(line)["degree"] for line in out.splitlines()} == {degree}
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -145,6 +170,27 @@ def test_verify_range_violation(capsys):
     code, _, err = run(capsys, "verify", "table1", "--d-max", "99")
     assert code == 2
     assert "bad verify arguments" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("all", "--n-max", "100"), "n_max must be <= 49"),
+    (("all", "--n-max", "1"), "n_max must be >= 11"),
+    (("all", "--d-max", "17"), "d_max must be within 3..16"),
+    (("lemmas", "--n-max", "50"), "n_max must be <= 49"),
+])
+def test_verify_ranges_are_checked_before_any_suite_runs(capsys, monkeypatch, argv, message):
+    def never_run(suite):
+        @functools.wraps(suite)  # keeps the signature run_suite reads
+        def run_suite(**kwargs):
+            pytest.fail(f"{suite.__name__} ran")
+        return run_suite
+
+    for name in verify.SUITE_NAMES:
+        monkeypatch.setattr(verify, f"suite_{name}", never_run(getattr(verify, f"suite_{name}")))
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"bad verify arguments: {message}") and err.count("\n") == 1
 
 
 def test_verify_seed_is_echoed(capsys):
@@ -165,6 +211,17 @@ def test_lemma1_report(capsys):
     doc = json.loads(out)
     assert doc["suite"] == "lemma1"
     assert doc["passed"] == 4  # n = 2..5
+
+
+def test_lemma1_n_max_is_bounded_by_the_degree_limit(capsys):
+    code, out, err = run(capsys, "lemma1", "--n-max", "50")
+    assert code == 2
+    assert out == ""
+    assert err == ("bad arguments: n_max must be <= 49: the bump polynomial of "
+                   "degree 2n + 2 may not exceed degree 100\n")
+    code, out, _ = run(capsys, "lemma1", "--n-max", "49")
+    assert code == 0
+    assert json.loads(out)["passed"] == 48
 
 
 # ------------------------------------------------------------------ curves
@@ -236,6 +293,29 @@ def test_curves_too_coarse_step_is_bad_input(tmp_path, capsys):
     assert code == 2
     assert "curve integration failed" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, steps", [
+    (("--step", "1e-9"), "6e+09"),
+    (("--viewport", "1e300"), "3e+303"),
+    (("--step", "5.99e-5"), "1e+05"),
+])
+def test_curves_step_count_above_the_limit_is_bad_input(tmp_path, capsys, monkeypatch, args, steps):
+    monkeypatch.setattr(cli, "figure_curves", lambda *a, **kw: pytest.fail("integrated"))
+    out = tmp_path / "s.svg"
+    code, _, err = run(capsys, "curves", "--poly", "x*(x^2 - y^2)", "--out", str(out), *args)
+    assert code == 2
+    assert err == (f"step too small for the viewport: {steps} steps per curve arm, "
+                   "above the limit of 100000\n")
+    assert not out.exists()
+
+
+def test_curves_step_count_at_the_limit_is_accepted(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "figure_curves", lambda *a, **kw: [])
+    out = tmp_path / "t.svg"
+    code, _, _ = run(capsys, "curves", "--poly", "x*(x^2 - y^2)", "--out", str(out),
+                     "--step", "6e-5")
+    assert code == 0
 
 
 # sha256 of the default figures of the benchmark's four forms: the float
