@@ -332,20 +332,22 @@ def _validate_pair(p: BinaryForm, q: BinaryForm) -> int:
     return n
 
 
-def _mixed_coeffs(
-    p: BinaryForm, q: BinaryForm
-) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
-    # Coefficients (with the 2b middle convention) of the quadratic form
-    # obtained by distributing second derivatives of the product p*q across
-    # both factors symmetrically, omitting the p * (second partials of q)
-    # block.
+def _cross_blocks(p: BinaryForm, q: BinaryForm):
+    """The two blocks of the second derivatives of p*q that omit
+    p * (second partials of q): q * (pxx, pxy, pyy) and the symmetrized
+    first-derivative product (px qx, px qy + py qx, py qy).  Validates the
+    pair and verifies the mixed second-derivative identity of
+    discriminant_omega first."""
+    n = _validate_pair(p, q)
     px, py = p.partial_x(), p.partial_y()
     qx, qy = q.partial_x(), q.partial_y()
     pxx, pxy, pyy = second_partials(p)
-    a = q * pxx + Rat(2) * (px * qx)
-    b = q * pxy + (px * qy + py * qx)
-    c = q * pyy + Rat(2) * (py * qy)
-    return a, b, c
+    sym = (px * qx, px * qy + py * qx, py * qy)
+    t_comb = pxx * py * qy + pyy * px * qx - pxy * sym[1]
+    expected = Rat(2 * n, p.degree - 1) * (q * hessian(p))
+    if t_comb != expected:
+        raise ValueError("mixed second-derivative identity failed")
+    return (q * pxx, q * pxy, q * pyy), sym
 
 
 def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
@@ -356,31 +358,19 @@ def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     identity, that the mixed second-derivative combination
     p_xx p_y q_y + p_yy p_x q_x - p_xy (p_x q_y + p_y q_x) equals
     (2n / (deg p - 1)) * q * (Hessian of p)."""
-    n = _validate_pair(p, q)
-    px, py = p.partial_x(), p.partial_y()
-    qx, qy = q.partial_x(), q.partial_y()
-    pxx, pxy, pyy = second_partials(p)
-    t_comb = pxx * py * qy + pyy * px * qx - pxy * (px * qy + py * qx)
-    expected = Rat(2 * n, p.degree - 1) * (q * hessian(p))
-    if t_comb != expected:
-        raise ValueError("mixed second-derivative identity failed")
-    a, b, c = _mixed_coeffs(p, q)
+    (qa, qb, qc), (sa, sb, sc) = _cross_blocks(p, q)
+    a, b, c = qa + 2 * sa, qb + sb, qc + 2 * sc
     return b * b - a * c
 
 
-def check_isotopies(
-    p: BinaryForm,
-    q: BinaryForm,
-    t_grid: tuple[Fraction, ...] = (
-        Fraction(0),
-        Fraction(1, 4),
-        Fraction(1, 2),
-        Fraction(3, 4),
-        Fraction(1),
-    ),
-) -> list[IsotopyCheck]:
+# The parameter values at which check_isotopies certifies each family.
+ISOTOPY_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+
+def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
     """Certify three deformation families joining quadratic forms built from
-    p (distinct real lines) and q = x^(2n) + y^(2n), at each grid value:
+    p (distinct real lines) and q = x^(2n) + y^(2n), at each t in
+    ISOTOPY_GRID:
 
     - phi: cross-term form plus t times p * (second fundamental form of q);
       at t = 1 this is the full second fundamental form of p*q.
@@ -390,20 +380,12 @@ def check_isotopies(
       of p; the scalar is positive away from the origin for t in [0, 1].
 
     Each verdict is True iff the family's discriminant is strictly positive
-    off the origin at every grid value (proved exactly)."""
-    _validate_pair(p, q)
-    grid = tuple(Fraction(t) for t in t_grid)
-    for t in grid:
-        if t < 0 or t > 1:
-            raise ValueError("grid values must lie in [0, 1]")
-    # Verifies the mixed-derivative identity as a side effect.
-    discriminant_omega(p, q)
-
-    px, py = p.partial_x(), p.partial_y()
-    qx, qy = q.partial_x(), q.partial_y()
-    pxx, pxy, pyy = second_partials(p)
+    off the origin at every grid value (proved exactly).  The pair is
+    validated, and the mixed-derivative identity verified, as in
+    discriminant_omega."""
+    (qa, qb, qc), (sa, sb, sc) = _cross_blocks(p, q)
+    oa, ob, oc = qa + 2 * sa, qb + sb, qc + 2 * sc
     qxx, qxy, qyy = second_partials(q)
-    oa, ob, oc = _mixed_coeffs(p, q)
 
     def positive_off_origin(disc: BinaryForm) -> bool:
         ok, _ = is_negative_form(-disc)
@@ -412,29 +394,29 @@ def check_isotopies(
     checks = []
 
     failed = []
-    for t in grid:
+    for t in ISOTOPY_GRID:
         a = oa + (t * p) * qxx
         b = ob + (t * p) * qxy
         c = oc + (t * p) * qyy
         if not positive_off_origin(b * b - a * c):
             failed.append(t)
-    checks.append(IsotopyCheck("phi", grid, not failed, tuple(failed)))
+    checks.append(IsotopyCheck("phi", ISOTOPY_GRID, not failed, tuple(failed)))
 
     failed = []
-    for t in grid:
-        a = q * pxx + (2 * t) * (px * qx)
-        b = q * pxy + t * (px * qy + py * qx)
-        c = q * pyy + (2 * t) * (py * qy)
+    for t in ISOTOPY_GRID:
+        a = qa + (2 * t) * sa
+        b = qb + t * sb
+        c = qc + (2 * t) * sc
         if not positive_off_origin(b * b - a * c):
             failed.append(t)
-    checks.append(IsotopyCheck("psi", grid, not failed, tuple(failed)))
+    checks.append(IsotopyCheck("psi", ISOTOPY_GRID, not failed, tuple(failed)))
 
     # gamma_t scales the second fundamental form of p by t + (1-t)q, which
     # is positive off the origin for every t in [0, 1] (q is a sum of even
     # powers), so its discriminant sign reduces to hyperbolicity of p.
     p_ok = is_hyperbolic(p).is_hyperbolic
-    failed = [] if p_ok else list(grid)
-    checks.append(IsotopyCheck("gamma_t", grid, not failed, tuple(failed)))
+    failed = [] if p_ok else list(ISOTOPY_GRID)
+    checks.append(IsotopyCheck("gamma_t", ISOTOPY_GRID, not failed, tuple(failed)))
     return checks
 
 

@@ -4,10 +4,12 @@ A form f of degree D >= 2 is hyperbolic when the quadratic form of its
 second partials is indefinite at every point away from the origin,
 equivalently when f_xx*f_yy - f_xy^2 is negative there.  Everything in
 this module decides signs exactly, on integers: hessian and polar_form run
-on the integer multiple of f that clears its denominators, and each sign
+on the integer multiple of f that clears its denominators, and every sign
 decision runs one signed primitive remainder sequence of p and p' (content
 stripped at every step).  Its last term is gcd(p, p'), and the sequence
-divided by that gcd is a Sturm sequence of the squarefree part of p.
+divided by that gcd is a Sturm sequence of the squarefree part of p.  A
+non-strict bound p <= 0 on [0, 1] reads one sign of p in each gap between
+the roots that this sequence isolates.
 Fraction appears only where forms and polynomials enter and leave.
 Negativity of an even form reduces by homogeneity to one chart plus one
 extra point.
@@ -105,12 +107,6 @@ def _prs(a: list[int], b: list[int]) -> list[list[int]]:
     return seq
 
 
-def _gcd_int(a: list[int], b: list[int]) -> list[int]:
-    a, b = _primitive(_trim(list(a))), _primitive(_trim(list(b)))
-    g = _prs(a, b)[-1] if b else a
-    return [-c for c in g] if g and g[-1] < 0 else g
-
-
 def _sturm(p: list[int]) -> tuple[list[list[int]], list[int]]:
     """Sturm sequence of the squarefree part ps of p, and ps itself.
 
@@ -129,35 +125,6 @@ def _sturm(p: list[int]) -> tuple[list[list[int]], list[int]]:
             g = [-c for c in g]
         chain = [_divexact(q, g) for q in chain]
     return chain, chain[0]
-
-
-def _yun_odd_part(p: list[int]) -> list[int]:
-    """Product of the squarefree factors of odd multiplicity (Yun's algorithm)."""
-    p = _primitive(_trim(list(p)))
-    if len(p) <= 1:
-        return [1]
-    g = _gcd_int(p, _deriv(p))
-    if len(g) == 1:
-        return p
-    out = [1]
-    c = _divexact(p, g)
-    d = [u - v for u, v in _zip_pad(_divexact(_deriv(p), g), _deriv(c))]
-    _trim(d)
-    i = 1
-    while len(c) > 1:
-        a = _gcd_int(c, d)
-        if len(a) > 1 and i % 2 == 1:
-            out = _mul_int(out, a)
-        c = _divexact(c, a)
-        d = [u - v for u, v in _zip_pad(_divexact(d, a), _deriv(c))]
-        _trim(d)
-        i += 1
-    return _primitive(out)
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 def _sign_at(p: list[int], t: Fraction) -> int:
@@ -308,22 +275,23 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
         return False
     if len(ints) <= 1:
         return True
-    odd = _yun_odd_part(ints)
-    if len(odd) > 1:
-        chain, _ = _sturm(odd)
-        sign_changes = _count(chain, zero, one)
-        if _sign_at(odd, one) == 0:
-            sign_changes -= 1
-        if sign_changes > 0:
-            return False  # p changes sign inside (0, 1), so it is positive somewhere
-    # constant sign off the roots; read it at any interior non-root point
-    deg = len(ints) - 1
-    for k in range(1, deg + 2):
-        m = Fraction(k, deg + 2)
-        s = _sign_at(ints, m)
-        if s != 0:
-            return s < 0
-    raise AssertionError("no non-root sample found")  # impossible: > deg candidates
+    # p keeps one sign in each gap between its roots in [0, 1], so one
+    # nonzero sign per gap decides.  Right of the last root it is p(1) < 0
+    # (unless 1 is that root).  Left of each root it is read at the left end
+    # a of the root's isolating interval (a, b], or, when a is itself a root
+    # (0 or the root before), at the first bisection point m of (a, b] with
+    # no root in (a, m].
+    chain, ps = _sturm(ints)
+    for a, b in _isolate(chain, ps, zero, one):
+        s = _sign_at(ints, a)
+        m = b
+        while s == 0:
+            m = (a + m) / 2
+            if _count(chain, a, m) == 0:
+                s = _sign_at(ints, m)
+        if s > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

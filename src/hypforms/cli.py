@@ -22,6 +22,10 @@ Subcommands and exit codes:
                    MAX_ARM_STEPS steps per curve arm, or a step too coarse
                    for the direction lift)
 
+A parse error includes a degree above MAX_DEGREE = 100 and a numeral, or a
+coefficient numerator or denominator, of more than MAX_COEFF_DIGITS = 4300
+digits; both are rejected before the form is built.
+
 Reports are JSON on stdout; progress summaries go to stderr.  All output is
 deterministic for fixed flags; random corpora take an explicit --seed that is
 echoed inside the report.

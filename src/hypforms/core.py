@@ -399,6 +399,15 @@ class _Lexer:
 # any suite, test or benchmark parses is 41.
 MAX_DEGREE = 100
 
+# Most decimal digits parse_form accepts in a numeral, and in the numerator
+# and the denominator of every coefficient it builds: the default limit of
+# int() and str() on ints (sys.int_info.default_max_str_digits), so every
+# form parse_form accepts prints, and its text parses back.  It also bounds
+# the parser's work: "((2^100)^100)^100" stops at its first coefficient past
+# the limit instead of building one of 301,030 digits.
+MAX_COEFF_DIGITS = 4300
+_COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
+
 # parser works on sparse bivariate dicts {(x_power, y_power): coeff} so that
 # homogeneity can be checked once at the end.  Cancelled monomials stay in
 # with coefficient 0, so "0*x^3" keeps its degree 3; a zero constant term is
@@ -410,10 +419,17 @@ def _degree(a) -> int:
     return max(i + j for i, j in a)
 
 
+def _coeff(v: Fraction) -> Fraction:
+    """v, once its numerator and denominator are within MAX_COEFF_DIGITS."""
+    if abs(v.numerator) >= _COEFF_BOUND or v.denominator >= _COEFF_BOUND:
+        raise ParseError(f"coefficient above the limit of {MAX_COEFF_DIGITS} digits")
+    return v
+
+
 def _bv_add(a, b):
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = _coeff(out.get(k, Fraction(0)) + v)
     if len(out) > 1 and out.get((0, 0), 1) == 0:
         del out[(0, 0)]
     return out
@@ -422,9 +438,18 @@ def _bv_add(a, b):
 def _bv_mul(a, b):
     if _degree(a) + _degree(b) > MAX_DEGREE:
         raise ParseError(f"degree above the limit of {MAX_DEGREE}")
+    # factors of m and n bits multiply to at least m + n - 1 bits, so two
+    # numerators (or denominators) past this bound multiply past the limit
+    # before any common factor cancels.  Within it, a product has at most one
+    # bit more than the limit; parse_form checks the coefficients it returns
+    # exactly.
+    bits = _COEFF_BOUND.bit_length() + 1
     out: dict = {}
     for (i, j), u in a.items():
         for (k, l), v in b.items():
+            if (u.numerator.bit_length() + v.numerator.bit_length() > bits
+                    or u.denominator.bit_length() + v.denominator.bit_length() > bits):
+                raise ParseError(f"coefficient above the limit of {MAX_COEFF_DIGITS} digits")
             key = (i + k, j + l)
             out[key] = out.get(key, Fraction(0)) + u * v
     return out
@@ -478,8 +503,10 @@ def _parse_power(lx: _Lexer):
         if n > MAX_DEGREE:
             raise ParseError(f"exponent {n} is above the limit of {MAX_DEGREE}")
         out = {(0, 0): Fraction(1)}
-        for _ in range(n):
-            out = _bv_mul(out, base)
+        for bit in bin(n)[2:]:  # square and multiply
+            out = _bv_mul(out, out)
+            if bit == "1":
+                out = _bv_mul(out, base)
         return out
     return base
 
@@ -508,6 +535,15 @@ def _parse_atom(lx: _Lexer):
 
 
 _VECTOR_RE = re.compile(r"^\s*(\d+)\s*:(.*)$", re.S)
+_EXPONENT_RE = re.compile(r"e([-+]?\d[\d_]*)\s*$", re.I)
+
+
+def _vector_coeff(text: str) -> Fraction:
+    # Fraction("1e999999999") would build a billion-digit numerator
+    e = _EXPONENT_RE.search(text)
+    if e and abs(int(e.group(1))) > MAX_COEFF_DIGITS:
+        raise ParseError(f"decimal exponent above the limit of {MAX_COEFF_DIGITS}")
+    return _coeff(Fraction(text))
 
 
 def parse_form(text: str) -> BinaryForm:
@@ -516,7 +552,9 @@ def parse_form(text: str) -> BinaryForm:
 
     The expression must be homogeneous, cancelled monomials included: "x + y^2"
     and "x^2 - x^2 + y^3" are rejected, and "0*x^3" is the zero form of
-    degree 3.  Degrees above MAX_DEGREE are rejected.
+    degree 3.  Degrees above MAX_DEGREE are rejected, and so is a numeral,
+    or a numerator or denominator of a coefficient built from the text,
+    of more than MAX_COEFF_DIGITS digits.
     """
     m = _VECTOR_RE.match(text)
     if m:
@@ -529,7 +567,7 @@ def parse_form(text: str) -> BinaryForm:
                 f"coefficient vector for degree {degree} needs {degree + 1} entries"
             )
         try:
-            return BinaryForm(degree, tuple(Fraction(p) for p in parts))
+            return BinaryForm(degree, tuple(_vector_coeff(p) for p in parts))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient: {exc}") from None
     lx = _Lexer(text)
@@ -544,13 +582,13 @@ def parse_form(text: str) -> BinaryForm:
     d = degrees.pop()
     cs = [Fraction(0)] * (d + 1)
     for (i, j), v in bv.items():
-        cs[j] = v
+        cs[j] = _coeff(v)
     return BinaryForm(d, tuple(cs))
 
 
 def format_form(f: BinaryForm) -> str:
-    """Canonical text; parse_form(format_form(f)) == f for nonzero forms of
-    degree at most MAX_DEGREE."""
+    """Canonical text; parse_form(format_form(f)) == f for every nonzero
+    form parse_form accepts."""
     if f.is_zero():
         return "0"
     d = f.degree

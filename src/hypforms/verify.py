@@ -149,6 +149,11 @@ def _run(name: str, jobs: list[tuple[str, object]], t0: float) -> SuiteReport:
     return SuiteReport(suite=name, cases=cases, wall_time=time.perf_counter() - t0)
 
 
+def _rep_degrees(d_max: int) -> list[int]:
+    """The degrees 3..d_max that have a representative set: all but 4."""
+    return [d for d in range(3, d_max + 1) if d != 4]
+
+
 def _exact(expected, got) -> dict:
     return {
         "expected": str(expected),
@@ -190,10 +195,7 @@ def suite_conjecture(d_max: int = 20) -> SuiteReport:
     _check_range("conjecture", d_max)
     t0 = time.perf_counter()
     jobs = []
-    for d in range(3, d_max + 1):
-        if d == 4:
-            continue
-
+    for d in _rep_degrees(d_max):
         def fn(d: int = d):
             reps = representatives(d)
             idxs = [index_gamma(m.form) for m in reps]
@@ -440,9 +442,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
     t0 = time.perf_counter()
     jobs = []
     members = list(table1(min(d_max, 16)))
-    for d in range(3, d_max + 1):
-        if d == 4:
-            continue
+    for d in _rep_degrees(d_max):
         members.extend(representatives(d))
     for i, mem in enumerate(members):
         def fam(mem: FamilyMember = mem):
@@ -507,9 +507,7 @@ def suite_winding(d_max: int = 12) -> SuiteReport:
     t0 = time.perf_counter()
     jobs = []
     members: list[FamilyMember] = []
-    for d in range(3, d_max + 1):
-        if d == 4:
-            continue
+    for d in _rep_degrees(d_max):
         members.extend(representatives(d))
     for mem in members:
         def windings(mem: FamilyMember = mem):
@@ -581,9 +579,7 @@ def suite_poincare(d_max: int = 12) -> SuiteReport:
     _check_range("poincare", d_max)
     t0 = time.perf_counter()
     jobs = []
-    for d in range(3, d_max + 1):
-        if d == 4:
-            continue
+    for d in _rep_degrees(d_max):
         for mem in representatives(d):
             def halving(mem: FamilyMember = mem):
                 want = Fraction(index_gamma(mem.form), 2)

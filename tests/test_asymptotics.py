@@ -261,6 +261,17 @@ def test_discriminant_omega_rejects_wrong_q():
         discriminant_omega(p, parse_form("x^2 + 2*y^2"))
 
 
+@pytest.mark.parametrize("p, q", [
+    ("x^2*(x^2 - y^2)", "x^2 + y^2"),    # repeated factor
+    ("x^3 - x*y^2", "x^2 + 2*y^2"),      # not x^(2n) + y^(2n)
+    ("x*(x^2 + y^2)", "x^4 + y^4"),      # lines not all real
+])
+def test_check_isotopies_rejects_what_discriminant_omega_rejects(p, q):
+    for check in (discriminant_omega, check_isotopies):
+        with pytest.raises(ValueError):
+            check(parse_form(p), parse_form(q))
+
+
 def test_check_isotopies_clean_pair():
     p = parse_form("x^3 - x*y^2")
     q = parse_form("x^4 + y^4")

@@ -5,6 +5,7 @@ definiteness decisions; the package itself never imports it.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -488,6 +489,70 @@ def test_unit_interval_matches_sympy(p):
             positive_somewhere = True
             break
     assert got == (not positive_somewhere)
+
+
+# Roots at the bisection points of [0, 1], at its ends (0 is also the first
+# interval's left end), at 1/3 (never a bisection point) and outside [0, 1].
+UNIT_ROOTS = tuple(map(Fraction, ("0", "1/4", "1/2", "3/4", "1", "1/3", "-1/2", "3/2")))
+
+
+def unit_interval_products():
+    """(p, roots) for each product of one to three factors (q*t - r)^m with
+    distinct roots r/q from UNIT_ROOTS and m = 1, 2, 3."""
+    for k in (1, 2, 3):
+        for roots in itertools.combinations(UNIT_ROOTS, k):
+            for mults in itertools.product((1, 2, 3), repeat=k):
+                p = UniPoly.const(1)
+                for r, m in zip(roots, mults):
+                    line = UniPoly((Fraction(-r.numerator), Fraction(r.denominator)))
+                    for _ in range(m):
+                        p = p * line
+                yield p, roots
+
+
+def unit_interval_oracle(p: UniPoly, roots, strict: bool) -> bool:
+    """p <= 0 (strict: p < 0) on [0, 1], from the values of p at 0, at 1 and
+    at the midpoints between its known roots there: p keeps one sign between
+    two neighbouring ones."""
+    marks = sorted({Fraction(0), Fraction(1)} | {r for r in roots if 0 <= r <= 1})
+    values = [p(t) for t in marks + [(a + b) / 2 for a, b in zip(marks, marks[1:])]]
+    return all(v < 0 if strict else v <= 0 for v in values)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("strict", [False, True])
+def test_unit_interval_matches_root_oracle(strict, sign):
+    wrong, accepted = [], 0
+    for p, roots in unit_interval_products():
+        p = sign * p
+        got = is_nonpositive_on_unit_interval(p, strict=strict)
+        accepted += got
+        if got != unit_interval_oracle(p, roots, strict):
+            wrong.append(str(p))
+    assert wrong == []
+    assert accepted > 0
+
+
+def test_unit_interval_runs_at_most_one_remainder_sequence(monkeypatch):
+    calls = []
+    prs = certify._prs
+
+    def counting_prs(a, b):
+        calls.append(len(a))
+        return prs(a, b)
+
+    monkeypatch.setattr(certify, "_prs", counting_prs)
+    reached = 0
+    for p, _ in unit_interval_products():
+        for q, strict in itertools.product((p, -p), (False, True)):
+            calls.clear()
+            is_nonpositive_on_unit_interval(q, strict=strict)
+            p0, p1 = q(0), q(1)
+            ends_pass = p0 < 0 and p1 < 0 if strict else p0 <= 0 and p1 <= 0
+            # every product has degree >= 1: one sequence once both ends pass
+            assert len(calls) == int(ends_pass), (str(q), strict)
+            reached += ends_pass
+    assert reached > 0
 
 
 # ------------------------------------------------------------ product lemma

@@ -4,6 +4,10 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -72,6 +76,20 @@ def test_degree_above_the_limit_is_a_parse_error(capsys, command, poly):
     assert out == ""
     assert err.startswith("parse error: ") and "limit of 100" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "index", "curves"])
+def test_coefficient_above_the_limit_is_a_parse_error(tmp_path, capsys, command):
+    poly = "((2^100)^100)^100*x^2*y - y^3"
+    argv = [command, poly]
+    if command == "curves":
+        argv = [command, "--poly", poly, "--out", str(tmp_path / "fig.svg")]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: coefficient above the limit of 4300 digits\n"
 
 
 # ------------------------------------------------------------------- index
@@ -352,3 +370,22 @@ def test_figure_seeds_every_zero_line_of_a_harmonic_power(m):
         lo = Fraction(math.nextafter(t, -math.inf))
         hi = Fraction(math.nextafter(t, math.inf))
         assert sturm_count(p, lo, hi) == 1
+
+
+# ----------------------------------------------------------------- runtime
+
+
+def test_cli_imports_only_the_standard_library():
+    # a new interpreter, so that no module a test imported counts; modules
+    # the interpreter loads at startup (site hooks) are left out
+    script = (
+        "import sys; before = set(sys.modules); import hypforms.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = done.stdout.split()
+    assert "hypforms" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m != "hypforms"] == []

@@ -17,7 +17,7 @@ from hypforms import (
     parse_form,
     rotational_derivative,
 )
-from hypforms.core import MAX_DEGREE
+from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -102,6 +102,25 @@ def test_parse_degree_limit():
 def test_parse_rejects_overlong_numeral():
     with pytest.raises(ParseError, match="too long"):
         parse_form("1" * 5000 + "*x^2")
+
+
+def test_parse_coefficient_limit():
+    nines = "9" * MAX_COEFF_DIGITS
+    two_at_limit = "(2^100)^100*(2^100)^42*2^84"  # 2^14284, 4300 digits
+    for text in (f"{nines}*x^3 - 1/{nines}*x*y^2", f"{two_at_limit}*x^2 - y^2",
+                 f"{nines}*(1/{nines})*x", f"3: {nines}, 0, -1/{nines}, 0"):
+        f = parse_form(text)
+        assert max(max(abs(c.numerator), c.denominator) for c in f.coeffs) < 10**MAX_COEFF_DIGITS
+        assert parse_form(format_form(f)) == f
+    # a product past the limit is rejected before it is built, so the
+    # 10^8-bit coefficient of the first text is never made
+    for bad in ("(((3^90)^90)^90)^90*x", "((2^100)^100)^100*x^2*y - y^3",
+                f"{two_at_limit}*2*x^2 - y^2",
+                f"{nines}*{nines}*x", f"(1/{nines})*(1/2)*x",
+                f"1/{nines}*x + 1/{int(nines) - 1}*x", f"1: 1e{MAX_COEFF_DIGITS}, 1",
+                f"1: 1e-{MAX_COEFF_DIGITS}, 1", "1: 1e999999999, 1", f"1: {nines}.5, 1"):
+        with pytest.raises(ParseError, match=f"limit of {MAX_COEFF_DIGITS}"):
+            parse_form(bad)
 
 
 def test_format_round_trip_known():
