@@ -363,7 +363,8 @@ def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     return b * b - a * c
 
 
-# The parameter values at which check_isotopies certifies each family.
+# The parameter values at which check_isotopies certifies each family; the
+# first is 0 and the last is 1.
 ISOTOPY_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
 
@@ -387,28 +388,27 @@ def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
     oa, ob, oc = qa + 2 * sa, qb + sb, qc + 2 * sc
     qxx, qxy, qyy = second_partials(q)
 
-    def positive_off_origin(disc: BinaryForm) -> bool:
-        ok, _ = is_negative_form(-disc)
+    def positive_off_origin(a: BinaryForm, b: BinaryForm, c: BinaryForm) -> bool:
+        ok, _ = is_negative_form(a * c - b * b)
         return ok
 
+    # the cross-term form is phi at t = 0 and psi at t = 1: decide it once
+    omega = positive_off_origin(oa, ob, oc)
     checks = []
 
-    failed = []
-    for t in ISOTOPY_GRID:
-        a = oa + (t * p) * qxx
-        b = ob + (t * p) * qxy
-        c = oc + (t * p) * qyy
-        if not positive_off_origin(b * b - a * c):
+    failed = [] if omega else [ISOTOPY_GRID[0]]
+    for t in ISOTOPY_GRID[1:]:
+        tp = t * p
+        if not positive_off_origin(oa + tp * qxx, ob + tp * qxy, oc + tp * qyy):
             failed.append(t)
     checks.append(IsotopyCheck("phi", ISOTOPY_GRID, not failed, tuple(failed)))
 
     failed = []
-    for t in ISOTOPY_GRID:
-        a = qa + (2 * t) * sa
-        b = qb + t * sb
-        c = qc + (2 * t) * sc
-        if not positive_off_origin(b * b - a * c):
+    for t in ISOTOPY_GRID[:-1]:
+        if not positive_off_origin(qa + (2 * t) * sa, qb + t * sb, qc + (2 * t) * sc):
             failed.append(t)
+    if not omega:
+        failed.append(ISOTOPY_GRID[-1])
     checks.append(IsotopyCheck("psi", ISOTOPY_GRID, not failed, tuple(failed)))
 
     # gamma_t scales the second fundamental form of p by t + (1-t)q, which

@@ -304,8 +304,8 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
     h must be nonzero of even degree.  By homogeneity it is enough that
     h(1, t) stays negative on the whole line and that h(0, 1) < 0.  On
     rejection a rational witness point with h(witness) >= 0 is returned
-    when one exists (it may not: an even-order touch of zero can happen
-    at an irrational point only).
+    if and only if one exists; None means that every zero of h off the
+    origin is an even-order touch on a line of irrational slope.
     """
     if h.is_zero():
         raise ValueError("negativity test on the zero form")
@@ -332,44 +332,33 @@ def _root_witness(ints: list[int], chain, ps) -> tuple[Rat, Rat] | None:
             return (Fraction(1), a)
         if _sign_at(ints, b) >= 0:
             return (Fraction(1), b)
-        # both ends negative: an even-multiplicity touch of zero; a rational
-        # witness exists only if the root itself is rational
-        r = _rational_root_in(ps, a, b)
+        # both ends negative: an even-multiplicity touch of zero strictly
+        # inside (a, b), the one root there of gcd(h, h') = ints / ps; a
+        # rational witness exists only if that root is rational
+        r = _rational_root(_divexact(ints, ps), a, b)
         if r is not None:
             return (Fraction(1), r)
     return None
 
 
-def _rational_root_in(ps: list[int], a: Fraction, b: Fraction) -> Fraction | None:
-    """Rational roots of a primitive integer polynomial in (a, b], by trial
-    division over divisors of the extreme coefficients (skipped when the
-    coefficients are too composite to enumerate cheaply)."""
-    const = next((c for c in ps if c != 0), 0)
-    lead = ps[-1]
-    if abs(const) > 10**9 or abs(lead) > 10**9:
-        return None
-    tz = next(i for i, c in enumerate(ps) if c != 0)
-    if tz and a < 0 <= b:
-        return Fraction(0)
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if a < cand <= b and _sign_at(ps, cand) == 0:
-                    return cand
-    return None
+def _rational_root(g: list[int], a: Fraction, b: Fraction) -> Fraction | None:
+    """The single root of g in (a, b] if it is rational, else None.
 
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n and d <= 100000:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    A rational root of the squarefree part gs has a denominator dividing
+    L = |lead(gs)|, and two distinct rationals with denominators <= L lie at
+    least 1/L^2 apart.  Once (a, b] is narrower than 1/L^2, the root is the
+    rational with denominator <= L nearest to its midpoint, or is irrational.
+    """
+    chain, gs = _sturm(g)
+    lead = abs(gs[-1])
+    while (b - a) * lead * lead >= 1:
+        m = (a + b) / 2
+        if _count(chain, a, m):
+            b = m
+        else:
+            a = m
+    c = ((a + b) / 2).limit_denominator(lead)
+    return c if _sign_at(gs, c) == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +415,10 @@ def polar_form(f: BinaryForm) -> BinaryForm:
 
 @lru_cache(maxsize=8192)
 def _certify(f: BinaryForm, method: str) -> Certificate:
-    if method == "hessian":
-        target = hessian(f)
-    elif method == "polar":
-        target = polar_form(f)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    target = hessian(f) if method == "hessian" else polar_form(f)
     if target.is_zero():
-        # happens exactly for powers of a single linear form; every point
-        # is then a witness against strict negativity
+        # happens exactly for f = 0 and for powers of a single linear form;
+        # every point is then a witness against strict negativity
         return Certificate(
             "not_hyperbolic", method, f.degree, (Fraction(1), Fraction(0))
         )
@@ -451,8 +435,6 @@ def is_hyperbolic(f: BinaryForm) -> Certificate:
     """Certify via negativity of the hessian form (degree >= 2)."""
     if f.degree < 2:
         raise ValueError("hyperbolicity is defined for degree >= 2")
-    if f.is_zero():
-        return Certificate("not_hyperbolic", "hessian", f.degree, (Fraction(1), Fraction(0)))
     return _certify(f, "hessian")
 
 
@@ -460,8 +442,6 @@ def is_hyperbolic_polar(f: BinaryForm) -> Certificate:
     """Certify via negativity of the polar form; agrees with is_hyperbolic."""
     if f.degree < 2:
         raise ValueError("hyperbolicity is defined for degree >= 2")
-    if f.is_zero():
-        return Certificate("not_hyperbolic", "polar", f.degree, (Fraction(1), Fraction(0)))
     return _certify(f, "polar")
 
 

@@ -80,7 +80,7 @@ def classify_form(f: BinaryForm) -> ComponentReport:
         degree=f.degree,
         index=idx,
         component_rank=ranks.index(idx),
-        factor_count=count_real_linear_factors(f),
+        factor_count=2 - idx,
     )
 
 

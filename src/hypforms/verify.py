@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .asymptotics import check_isotopies, discriminant_omega, poincare_index_origin
+from .asymptotics import check_isotopies, poincare_index_origin
 from .certify import (
     hessian,
     hess_linear_product,
     is_hyperbolic,
     is_hyperbolic_polar,
-    is_negative_form,
     is_nonpositive_on_unit_interval,
     linear_extension_is_hyperbolic,
     polar_form,
@@ -649,10 +648,10 @@ def suite_isotopies() -> SuiteReport:
     jobs = []
     for name, p, q, n in _isotopy_pairs():
         def pair_case(name=name, p=p, q=q, n=n):
-            disc = discriminant_omega(p, q)  # raises if the identity fails
             ratio = Fraction(2 * n, p.degree - 1)
-            pos, _ = is_negative_form(-disc)
-            checks = check_isotopies(p, q)
+            checks = check_isotopies(p, q)  # raises if the identity fails
+            _, psi, _ = checks
+            pos = Fraction(1) not in psi.failed_ts  # psi(1) is the cross-term form
             all_true = all(c.verdict for c in checks)
             return _exact(
                 f"identity ratio {ratio}; discriminant positive; "
@@ -674,8 +673,8 @@ def suite_isotopies() -> SuiteReport:
     def boundary():
         p = p_factorized(1).form
         q = BinaryForm.monomial(2, 0) + BinaryForm.monomial(2, 2)
-        pos, _ = is_negative_form(-discriminant_omega(p, q))
         checks = {c.kind: c for c in check_isotopies(p, q)}
+        pos = Fraction(1) not in checks["psi"].failed_ts  # psi(1) is the cross-term form
         return _exact(
             "discriminant positive; phi fails only at t=1; psi true; gamma_t true",
             f"discriminant {'positive' if pos else 'NOT positive'}; "
@@ -689,7 +688,7 @@ def suite_isotopies() -> SuiteReport:
         p = parse_form("x^2*(x^2 - y^2)")
         q = BinaryForm.monomial(2, 0) + BinaryForm.monomial(2, 2)
         try:
-            discriminant_omega(p, q)
+            check_isotopies(p, q)
             return _exact("rejected (repeated factor)", "accepted")
         except ValueError:
             return _exact("rejected (repeated factor)", "rejected (repeated factor)")

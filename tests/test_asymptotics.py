@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypforms import asymptotics
 from hypforms import (
     RefinementError,
     asymptotic_directions,
@@ -298,4 +299,23 @@ def test_check_isotopies_boundary_pair_fails_only_at_endpoint():
     assert checks["phi"].verdict is False
     assert checks["phi"].failed_ts == (Fraction(1),)
     assert checks["psi"].verdict
+    assert checks["gamma_t"].verdict
+
+
+def test_check_isotopies_decides_the_cross_term_form_once(monkeypatch):
+    # phi at t = 0 and psi at t = 1 are both the cross-term form of
+    # discriminant_omega: one decision of it sets both verdicts
+    p, q = F3, parse_form("x^4 + y^4")
+    omega = -discriminant_omega(p, q)
+    decided = []
+
+    def not_negative_at_omega(h):
+        decided.append(h == omega)
+        return (False, None) if h == omega else is_negative_form(h)
+
+    monkeypatch.setattr(asymptotics, "is_negative_form", not_negative_at_omega)
+    checks = {c.kind: c for c in check_isotopies(p, q)}
+    assert decided.count(True) == 1 and len(decided) == 9
+    assert checks["phi"].failed_ts == (Fraction(0),)
+    assert checks["psi"].failed_ts == (Fraction(1),)
     assert checks["gamma_t"].verdict

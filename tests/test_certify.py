@@ -432,6 +432,135 @@ def test_is_negative_form_irrational_touch_witnessless():
     assert w is None
 
 
+def sympy_slice(h: BinaryForm):
+    return sympy.Poly(to_sympy_form(h).subs(X, 1).subs(Y, T), T)
+
+
+DEFINITE = ("x^2 + y^2", "3*x^2 + x*y + 2*y^2", "x^4 + y^4", "(10^12 + 1)*x^2 - x*y + 7*y^2")
+
+
+@pytest.mark.parametrize("u, v", [
+    (10**9 + 7, 10**9 + 9),
+    (-(2**61 - 1), 3**40),
+    (5**30, 10**12 + 39),
+    (1, 10**15 + 37),
+])
+@pytest.mark.parametrize("k", DEFINITE)
+def test_is_negative_form_returns_a_large_rational_touch(monkeypatch, u, v, k):
+    # -(v*y - u*x)^2 * k with k definite touches zero only on the line of
+    # slope u/v, whose numerator and denominator are past 10^9
+    refined = []
+    inner = certify._rational_root
+
+    def spy(g, a, b):
+        refined.append(g)
+        return inner(g, a, b)
+
+    monkeypatch.setattr(certify, "_rational_root", spy)
+    line = LinearForm(Fraction(-u), Fraction(v)).to_form()
+    h = Fraction(-1) * (line * line * parse_form(k))
+    assert is_negative_form(h) == (False, (Fraction(1), Fraction(u, v)))
+    p = sympy_slice(h)
+    assert p.eval(sympy.Rational(u, v)) == 0
+    # the touch is refined on gcd(h, h'), not on the squarefree part of h
+    (g,) = refined
+    assert sympy.Poly(list(reversed(g)), T).monic() == sympy.gcd(p, p.diff(T)).monic()
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (3, 2), (10**10 + 1, 3), (3**21, 2**31), (7 * 10**12, 10**9 + 7)])
+@pytest.mark.parametrize("k", DEFINITE)
+def test_is_negative_form_irrational_touches_give_no_witness(a, b, k):
+    # -(b*x^2 - a*y^2)^2 * k touches zero on the lines of slope +-sqrt(b/a)
+    assert not sympy.sqrt(sympy.Rational(b, a)).is_rational
+    q = parse_form(f"{b}*x^2 - {a}*y^2")
+    h = Fraction(-1) * (q * q * parse_form(k))
+    assert is_negative_form(h) == (False, None)
+    assert len(sympy.real_roots(sympy_slice(h))) == 4  # +-sqrt(b/a), each twice
+    assert sympy_slice(h).ground_roots() == {}
+
+
+@pytest.mark.parametrize("d, k", [(21, 4), (21, 5), (31, 4), (31, 5)])
+def test_repeated_line_rejections_carry_the_touch_as_witness(d, k):
+    # l^2 * g for l = x - s*y and g a representative of degree d - 2: the
+    # Hessian and the polar form both touch zero on l, and the leading
+    # coefficients of their squarefree parts are past 10^9
+    s = (1, 2)[k % 2]
+    line = LinearForm(Fraction(1), Fraction(-s)).to_form()
+    f = line * line * representatives(d - 2)[k].form
+    for cert, target in ((is_hyperbolic(f), hessian(f)), (is_hyperbolic_polar(f), polar_form(f))):
+        assert not cert.is_hyperbolic
+        assert cert.witness == (Fraction(1), Fraction(1, s))
+        assert target.eval(*cert.witness) == 0
+        ps = certify._sturm(certify._int_coeffs(target.coeffs))[1]
+        assert abs(ps[-1]) > 10**9
+
+
+def int_poly(factors) -> list[int]:
+    """Integer coefficient list, lowest degree first, of a product of UniPolys."""
+    out = UniPoly.const(1)
+    for f in factors:
+        out = out * f
+    return certify._int_coeffs(out.coeffs)
+
+
+def rational_root_oracle(g: list[int], a: Fraction, b: Fraction):
+    """The rational root of g in (a, b], from sympy, or None."""
+    rats = [r for r in sympy.Poly(list(reversed(g)), T, domain="QQ").ground_roots()
+            if a < Fraction(int(r.p), int(r.q)) <= b]
+    assert len(rats) <= 1
+    return Fraction(int(rats[0].p), int(rats[0].q)) if rats else None
+
+
+QUAD_2 = UniPoly((Fraction(-2), Fraction(0), Fraction(1)))      # t^2 - 2
+QUAD_1 = UniPoly((Fraction(1), Fraction(0), Fraction(1)))       # t^2 + 1
+
+
+@pytest.mark.parametrize("factors, a, b, root", [
+    # roots at the points that bisecting (0, 1] reaches
+    ([linear_power(Fraction(1, 2), 2)], Fraction(0), Fraction(1), Fraction(1, 2)),
+    ([linear_power(Fraction(3, 4), 2), QUAD_1], Fraction(0), Fraction(1), Fraction(3, 4)),
+    ([linear_power(Fraction(3, 8), 3)], Fraction(0), Fraction(1), Fraction(3, 8)),
+    ([linear_power(Fraction(1), 2), linear_power(Fraction(-3), 1)], Fraction(0), Fraction(1), Fraction(1)),
+    ([linear_power(Fraction(0), 2), QUAD_1], Fraction(-1), Fraction(1), Fraction(0)),
+    # the denominator equals the leading coefficient of the squarefree part
+    ([linear_power(Fraction(3, 7), 2)], Fraction(0), Fraction(1), Fraction(3, 7)),
+    ([linear_power(Fraction(3, 7), 2), linear_power(Fraction(5, 11), 1)], Fraction(2, 5), Fraction(4, 9), Fraction(3, 7)),
+    # an irrational root
+    ([QUAD_2, QUAD_2], Fraction(1), Fraction(2), None),
+], ids=["1/2", "3/4", "3/8", "at-b", "zero", "3/7", "3/7-narrow", "sqrt2"])
+def test_rational_root_on_chosen_intervals(factors, a, b, root):
+    g = int_poly(factors)
+    assert rational_root_oracle(g, a, b) == root
+    assert certify._rational_root(g, a, b) == root
+
+
+def test_rational_root_matches_sympy_on_seeded_polynomials():
+    # every isolating interval of products of (q*t - p)^m and quadratics with
+    # irrational or no real roots, numerators and denominators up to 10^6
+    rng = random.Random(2718)
+    checked = rational = 0
+    for _ in range(60):
+        bits = rng.choice((3, 10, 20))
+        factors = [
+            linear_power(Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)),
+                         rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.5:
+            c = rng.randint(1, 2**bits)
+            r = rng.choice((2, 3, 5, 6, 7)) * c * c + rng.choice((0, c))
+            factors.append(UniPoly((Fraction(-r), Fraction(0), Fraction(rng.choice((1, 4, 9))))))
+        g = int_poly(factors)
+        chain, gs = certify._sturm(g)
+        bound = certify._cauchy_bound(gs)
+        for a, b in certify._isolate(chain, gs, -bound, bound):
+            want = rational_root_oracle(g, a, b)
+            assert certify._rational_root(g, a, b) == want
+            checked += 1
+            rational += want is not None
+    assert rational >= 60 and checked - rational >= 10
+
+
 def test_require_hyperbolic_raises():
     with pytest.raises(NotHyperbolicError):
         require_hyperbolic(parse_form("x^2 + y^2"))

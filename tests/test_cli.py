@@ -389,3 +389,13 @@ def test_cli_imports_only_the_standard_library():
     loaded = done.stdout.split()
     assert "hypforms" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m != "hypforms"] == []
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks: failed operations are counted, the tracer
+    # restores what it rebinds, inputs repeat for a seed
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, os.path.join(root, "perfbench", "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "all checks passed"
