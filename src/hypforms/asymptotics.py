@@ -124,7 +124,13 @@ def poincare_index_origin(f: BinaryForm) -> Fraction:
     half the winding of the degenerate-cone curve of f.
 
     The hyperbolicity of f is certified exactly; the second partials are
-    then evaluated in floats at each sample point of the circle."""
+    then evaluated in floats at each sample point of the circle.
+
+    Validated on every representative with D <= 17 (the poincare suite
+    checks D <= 12).  It raises RefinementError on P_18 and P_20, and from
+    D = 24 its 256 + 64D samples miss turns without an error: it returns -10
+    on P_24, whose index is -22.
+    """
     require_hyperbolic(f)
     fxx, fxy, fyy = second_partials(f)
     cache: dict[float, tuple[float, float]] = {}

@@ -7,9 +7,14 @@ this module decides signs exactly, on integers: hessian and polar_form run
 on the integer multiple of f that clears its denominators, and every sign
 decision runs one signed primitive remainder sequence of p and p' (content
 stripped at every step).  Its last term is gcd(p, p'), and the sequence
-divided by that gcd is a Sturm sequence of the squarefree part of p.  A
-non-strict bound p <= 0 on [0, 1] reads one sign of p in each gap between
-the roots that this sequence isolates.
+divided by that gcd is a Sturm sequence of the squarefree part of p.  One
+isolation walk on this sequence serves counting, isolation, float rounding,
+rational touches and gap signs: a count is the difference of its sign
+variations at two points, _isolate bisects until each interval holds one
+root, evaluating the sequence once per bisection point, and _halve refines
+one root's interval.  A bound p <= 0 on [0, 1] reads one sign of p in each
+gap between the roots isolated there; the strict bound p < 0 fails at the
+first of them.
 Fraction appears only where forms and polynomials enter and leave.
 Negativity of an even form reduces by homogeneity to one chart plus one
 extra point.
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, nextafter
+from typing import Iterator
 
 from .core import (
     BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly,
@@ -190,23 +196,26 @@ def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None
     return _count(_sturm(ints)[0], a, b)
 
 
-def _isolate(chain: list[list[int]], ps: list[int], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], each holding one root of ps in (lo, hi]."""
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, _count(chain, lo, hi))]
+def _isolate(chain: list[list[int]], lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+    """Disjoint half-open intervals (a, b], ascending, each holding one root
+    of chain[0] in (lo, hi].  The variation count at both ends of an interval
+    rides on the stack, so the chain is evaluated once per bisection point."""
+    stack = [(lo, _var_at(chain, lo), hi, _var_at(chain, hi))]
     while stack:
-        a, b, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((a, b))
-            continue
-        m = (a + b) / 2
-        nl = _count(chain, a, m)
-        stack.append((a, m, nl))
-        stack.append((m, b, n - nl))
-    out.sort()
-    return out
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            yield a, b
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = _var_at(chain, m)
+            stack.append((m, vm, b, vb))
+            stack.append((a, va, m, vm))
+
+
+def _halve(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """The half (a, m] or (m, b] of (a, b] that holds its single root."""
+    m = (a + b) / 2
+    return (a, m) if _count(chain, a, m) else (m, b)
 
 
 def _cauchy_bound(ps: list[int]) -> Fraction:
@@ -230,26 +239,23 @@ def float_roots(p: UniPoly) -> list[float]:
     chain, ps = _sturm(ints)
     bound = _cauchy_bound(ps)
     out = []
-    for a, b in _isolate(chain, ps, -bound, bound):
-        m = b
-        while _sign_at(ps, m) != 0:
+    for a, b in _isolate(chain, -bound, bound):
+        # halve until b is the root or both ends round to the same float or
+        # to neighbouring floats
+        while _sign_at(ps, b) != 0:
             lo, hi = float(a), float(b)
-            if lo == hi:
-                m = a
-                break
-            if nextafter(lo, inf) == hi:
+            if nextafter(lo, inf) < hi:
+                a, b = _halve(chain, a, b)
+                continue
+            if lo < hi:
                 # neighbouring floats: the root rounds to the one on its side
                 # of the rounding boundary m between them, or to m itself
                 m = (Fraction(lo) + Fraction(hi)) / 2
                 if _sign_at(ps, m) != 0:
                     m = Fraction(lo) if _count(chain, a, m) else Fraction(hi)
-                break
-            m = (a + b) / 2
-            if _count(chain, a, m):
                 b = m
-            else:
-                a = m
-        out.append(float(m))
+            break
+        out.append(float(b))
     return out
 
 
@@ -261,34 +267,28 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
     """Exact decision of p <= 0 (strict: p < 0) everywhere on [0, 1]."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    zero, one = Fraction(0), Fraction(1)
     ints = _int_coeffs(p.coeffs)
-    p0, p1 = ints[0], sum(ints)
-    if strict:
-        if p0 >= 0 or p1 >= 0:
-            return False
-        if len(ints) <= 1:
-            return True
-        # negative ends and no root in (0, 1] force a negative sign throughout
-        return _count(_sturm(ints)[0], zero, one) == 0
-    if p0 > 0 or p1 > 0:
+    top = max(ints[0], sum(ints))  # the larger of p(0) and p(1), up to a factor
+    if top > 0 or strict and top == 0:
         return False
     if len(ints) <= 1:
         return True
     # p keeps one sign in each gap between its roots in [0, 1], so one
-    # nonzero sign per gap decides.  Right of the last root it is p(1) < 0
-    # (unless 1 is that root).  Left of each root it is read at the left end
-    # a of the root's isolating interval (a, b], or, when a is itself a root
-    # (0 or the root before), at the first bisection point m of (a, b] with
-    # no root in (a, m].
-    chain, ps = _sturm(ints)
-    for a, b in _isolate(chain, ps, zero, one):
+    # nonzero sign per gap decides, and a strict bound fails at any root.
+    # Right of the last root it is p(1) < 0 (unless 1 is that root).  Left
+    # of each root it is read at the left end a of the root's isolating
+    # interval (a, b], or, when a is itself a root (0 or the root before),
+    # at the first point to which halving (a, b] moves a.
+    chain = _sturm(ints)[0]
+    for a, b in _isolate(chain, Fraction(0), Fraction(1)):
+        if strict:
+            return False
         s = _sign_at(ints, a)
-        m = b
-        while s == 0:
-            m = (a + m) / 2
-            if _count(chain, a, m) == 0:
-                s = _sign_at(ints, m)
+        if s == 0:
+            root = a
+            while a == root:
+                a, b = _halve(chain, a, b)
+            s = _sign_at(ints, a)
         if s > 0:
             return False
     return True
@@ -325,7 +325,7 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
 
 def _root_witness(ints: list[int], chain, ps) -> tuple[Rat, Rat] | None:
     bound = _cauchy_bound(ps)
-    for a, b in _isolate(chain, ps, -bound, bound):
+    for a, b in _isolate(chain, -bound, bound):
         # odd multiplicity forces a sign change, so an endpoint value >= 0
         # exists unless the single root sits exactly at b
         if _sign_at(ints, a) >= 0:
@@ -352,11 +352,7 @@ def _rational_root(g: list[int], a: Fraction, b: Fraction) -> Fraction | None:
     chain, gs = _sturm(g)
     lead = abs(gs[-1])
     while (b - a) * lead * lead >= 1:
-        m = (a + b) / 2
-        if _count(chain, a, m):
-            b = m
-        else:
-            a = m
+        a, b = _halve(chain, a, b)
     c = ((a + b) / 2).limit_denominator(lead)
     return c if _sign_at(gs, c) == 0 else None
 

@@ -127,7 +127,12 @@ def _round_turns(turns: float) -> int:
 
 def winding_gamma_numeric(f: BinaryForm) -> int:
     """Winding of (f_xx - f_yy, 2*f_xy) along the unit circle; must equal
-    index_gamma exactly after rounding."""
+    index_gamma exactly after rounding.
+
+    Validated on every representative with D <= 25 (the winding suite checks
+    D <= 16).  From D = 26 its 64 + 16D samples miss turns: it returns -22
+    on P_26 (index -24) and on the three lowest representatives at D = 30.
+    """
     require_hyperbolic(f)
     exx, exy, eyy = (p.eval_float for p in second_partials(f))
 
@@ -144,7 +149,12 @@ def winding_gamma_numeric(f: BinaryForm) -> int:
 
 def winding_alpha_numeric(f: BinaryForm) -> int:
     """Winding of the circle jet (value, angular derivative, second angular
-    derivative) projected to the plane 2*D*u + w = 0; equals index_gamma - 2."""
+    derivative) projected to the plane 2*D*u + w = 0; equals index_gamma - 2.
+
+    Validated on every representative with D <= 23 (the winding suite checks
+    D <= 16).  From D = 24 its 64 + 16D samples miss turns: it returns -20
+    on Q_2 P_22, whose index is -20, where -22 is due.
+    """
     require_hyperbolic(f)
     d = f.degree
     ev0 = f.eval_float

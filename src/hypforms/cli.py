@@ -19,12 +19,14 @@ Subcommands and exit codes:
   curves           0 with the figure written, 1 not hyperbolic, 2 bad input
                    (a parse error, degree below 2, zero form, a step or
                    viewport that is not finite and positive, more than
-                   MAX_ARM_STEPS steps per curve arm, or a step too coarse
-                   for the direction lift)
+                   MAX_ARM_STEPS steps per curve arm, a step too coarse
+                   for the direction lift, a figure value outside the float
+                   range, or an --out path that cannot be written)
 
-A parse error includes a degree above MAX_DEGREE = 100 and a numeral, or a
+A parse error includes a degree above MAX_DEGREE = 100, a numeral, or a
 coefficient numerator or denominator, of more than MAX_COEFF_DIGITS = 4300
-digits; both are rejected before the form is built.
+digits, and parentheses nested more than MAX_NESTING = 100 levels deep; each
+is rejected before the form is built.
 
 Reports are JSON on stdout; progress summaries go to stderr.  All output is
 deterministic for fixed flags; random corpora take an explicit --seed that is
@@ -279,6 +281,9 @@ def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
     except RefinementError as exc:
         print(f"curve integration failed: {exc}; try a smaller --step", file=sys.stderr)
         return 2
+    except OverflowError:
+        print("bad input: a value of the figure is out of the float range", file=sys.stderr)
+        return 2
     if out.endswith(".svg"):
         payload = polylines_to_svg(curves, viewport=viewport)
     elif out.endswith(".csv"):
@@ -286,8 +291,12 @@ def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
     else:
         print("output path must end in .svg or .csv", file=sys.stderr)
         return 2
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     n_pts = sum(len(c.points) for c in curves)
     print(f"wrote {out}: {len(curves)} curves, {n_pts} vertices", file=sys.stderr)
     return 0

@@ -408,6 +408,11 @@ MAX_DEGREE = 100
 MAX_COEFF_DIGITS = 4300
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 
+# Deepest nesting of parentheses parse_form accepts.  Each level costs the
+# recursive-descent parser five Python frames, so this keeps it well inside
+# the default recursion limit of 1000 wherever it is called from.
+MAX_NESTING = 100
+
 # parser works on sparse bivariate dicts {(x_power, y_power): coeff} so that
 # homogeneity can be checked once at the end.  Cancelled monomials stay in
 # with coefficient 0, so "0*x^3" keeps its degree 3; a zero constant term is
@@ -554,7 +559,8 @@ def parse_form(text: str) -> BinaryForm:
     and "x^2 - x^2 + y^3" are rejected, and "0*x^3" is the zero form of
     degree 3.  Degrees above MAX_DEGREE are rejected, and so is a numeral,
     or a numerator or denominator of a coefficient built from the text,
-    of more than MAX_COEFF_DIGITS digits.
+    of more than MAX_COEFF_DIGITS digits, and so are parentheses nested
+    more than MAX_NESTING levels deep.
     """
     m = _VECTOR_RE.match(text)
     if m:
@@ -573,6 +579,11 @@ def parse_form(text: str) -> BinaryForm:
     lx = _Lexer(text)
     if lx.peek() is None:
         raise ParseError("empty input")
+    depth = 0
+    for tok in lx.tokens:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested above the limit of {MAX_NESTING} levels")
     bv = _parse_expr(lx)
     if lx.peek() is not None:
         raise ParseError(f"trailing input at {lx.peek()!r}")

@@ -132,9 +132,62 @@ def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, 
     assert sturm_count(p) == len(roots)
     if a < b:
         assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
-    for lo, hi in certify._isolate(*certify._sturm(certify._int_coeffs(p.coeffs)), Fraction(-4), Fraction(4)):
+    for lo, hi in certify._isolate(certify._sturm(certify._int_coeffs(p.coeffs))[0], Fraction(-4), Fraction(4)):
         assert sum(1 for r in roots if lo < r <= hi) == 1
     assert certify.float_roots(p) == [float(r) for r in roots]
+
+
+# roots in (-4, 4] at several multiplicities, two of them closer than the
+# first bisection steps can separate
+ISOLATE_ROOTS = {Fraction(-3): 1, Fraction(-1, 2): 2, Fraction(1, 3): 1,
+                 Fraction(3, 8): 3, Fraction(1): 1, Fraction(4): 2}
+
+
+def _splits(roots, a: Fraction, b: Fraction) -> int:
+    """Bisection points a walk needs until each piece of (a, b] holds one root."""
+    if sum(1 for r in roots if a < r <= b) <= 1:
+        return 0
+    m = (a + b) / 2
+    return 1 + _splits(roots, a, m) + _splits(roots, m, b)
+
+
+def test_isolate_evaluates_the_chain_once_per_bisection_point(monkeypatch):
+    p = UniPoly.const(1)
+    for root, m in ISOLATE_ROOTS.items():
+        p = p * linear_power(root, m)
+    chain = certify._sturm(certify._int_coeffs(p.coeffs))[0]
+    points = []
+    var_at = certify._var_at
+
+    def counted(chain, t, *args):
+        points.append(t)
+        return var_at(chain, t, *args)
+
+    monkeypatch.setattr(certify, "_var_at", counted)
+    lo, hi = Fraction(-4), Fraction(4)
+    intervals = list(certify._isolate(chain, lo, hi))
+    splits = _splits(ISOLATE_ROOTS, lo, hi)
+    assert splits >= 5
+    assert len(points) == 2 + splits
+    assert len(set(points)) == len(points)
+    # ascending, one root in each, every root of (lo, hi] covered
+    assert intervals == sorted(intervals)
+    assert [sum(1 for r in ISOLATE_ROOTS if a < r <= b) for a, b in intervals] == [1] * 6
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
+
+
+@pytest.mark.parametrize("root, half", [
+    (Fraction(1, 3), (Fraction(0), Fraction(1, 2))),
+    (Fraction(1, 2), (Fraction(0), Fraction(1, 2))),  # the midpoint is in (a, m]
+    (Fraction(2, 3), (Fraction(1, 2), Fraction(1))),
+    (Fraction(1), (Fraction(1, 2), Fraction(1))),
+])
+def test_halve_keeps_the_half_with_the_root(root, half):
+    # a double root next to a root outside (0, 1]: the walk runs on the
+    # squarefree part
+    p = linear_power(root, 2) * linear_power(Fraction(-5), 1)
+    chain = certify._sturm(certify._int_coeffs(p.coeffs))[0]
+    assert certify._halve(chain, Fraction(0), Fraction(1)) == half
 
 
 def test_sturm_count_half_open_convention():
@@ -553,7 +606,7 @@ def test_rational_root_matches_sympy_on_seeded_polynomials():
         g = int_poly(factors)
         chain, gs = certify._sturm(g)
         bound = certify._cauchy_bound(gs)
-        for a, b in certify._isolate(chain, gs, -bound, bound):
+        for a, b in certify._isolate(chain, -bound, bound):
             want = rational_root_oracle(g, a, b)
             assert certify._rational_root(g, a, b) == want
             checked += 1

@@ -1,16 +1,21 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, figure emission."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypforms import arnold, sturm_count
 from hypforms.certify import float_roots
@@ -90,6 +95,14 @@ def test_coefficient_above_the_limit_is_a_parse_error(tmp_path, capsys, command)
     assert code == 2
     assert out == ""
     assert err == "parse error: coefficient above the limit of 4300 digits\n"
+
+
+@pytest.mark.parametrize("command", ["check", "index"])
+def test_parentheses_nested_above_the_limit_is_a_parse_error(capsys, command):
+    code, out, err = run(capsys, command, "(" * 200 + "x^3" + ")" * 200)
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: parentheses nested above the limit of 100 levels\n"
 
 
 # ------------------------------------------------------------------- index
@@ -336,6 +349,27 @@ def test_curves_step_count_at_the_limit_is_accepted(tmp_path, capsys, monkeypatc
     assert code == 0
 
 
+def test_curves_unwritable_out_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "missing" / "fig.svg"
+    code, _, err = run(capsys, "curves", "--poly", "x*(x^2 - y^2)", "--out", str(out),
+                       "--step", "0.05")
+    assert code == 2
+    assert err == f"cannot write {out}: No such file or directory\n"
+
+
+PFACT_4 = "x^9 - 30*x^7*y^2 + 273*x^5*y^4 - 820*x^3*y^6 + 576*x*y^8"  # family pfact 4
+
+
+def test_curves_figure_outside_the_float_range_is_bad_input(tmp_path, capsys):
+    # x^9 at x = 1e200 has no float value
+    out = tmp_path / "o.svg"
+    code, _, err = run(capsys, "curves", "--poly", PFACT_4, "--out", str(out),
+                       "--viewport", "1e200", "--step", "1e197")
+    assert code == 2
+    assert err == "bad input: a value of the figure is out of the float range\n"
+    assert not out.exists()
+
+
 # sha256 of the default figures of the benchmark's four forms: the float
 # evaluator, the curve stepper and the seed search must keep every byte of
 # them.  The bytes also rest on the C library's pow, sqrt, hypot, cos, sin
@@ -399,3 +433,111 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     assert done.stdout.splitlines()[-1] == "all checks passed"
+
+
+# ------------------------------------------------------------------- fuzz
+#
+# cli.main in-process on a small grammar of command lines.  Every command
+# line must end in an answer or in a bad-input exit: an exit code in
+# {0, 1, 2, 3}, no exception, and bounded time.  The limits on degree,
+# coefficient size and nesting are exercised at and past their edges.
+# Sums stay at degree 6 or below, and a coefficient of thousands of digits
+# that parses appears only up to degree 3: certification time still grows
+# steeply with coefficient size (a 4300-digit coefficient at degree 6 can
+# take a minute), which is an open item of its own, not a contract break.
+
+_SMALL = st.sampled_from(["0", "1", "2", "3", "7", "1/2", "3/4", "12/5"])
+# accepted, and cheap at every degree of the grammar
+_LARGE = st.sampled_from(["10^30", "(2^100)^3", "9" * 60])
+# past MAX_COEFF_DIGITS, so rejected while parsing
+_PAST = st.sampled_from(["9" * 4301, "(10^99)^44", "1" + "0" * 5000 + "/3"])
+_HUGE = st.just("9" * 4300)
+
+
+@st.composite
+def _term(draw, degree):
+    i = draw(st.integers(0, degree))
+    big = st.one_of(_LARGE, _PAST, _HUGE) if degree <= 3 else st.one_of(_LARGE, _PAST)
+    coeff = draw(st.one_of(_SMALL, _SMALL, big))
+    return f"{coeff}*x^{i}*y^{degree - i}"
+
+
+@st.composite
+def _sum(draw):
+    degree = draw(st.integers(2, 6))
+    terms = draw(st.lists(_term(degree), min_size=1, max_size=4))
+    if draw(st.booleans()):  # one more term of degree 0 to 3: mostly not homogeneous
+        terms.append(draw(_term(draw(st.integers(0, 3)))))
+    signs = draw(st.lists(st.sampled_from([" + ", " - "]), min_size=len(terms),
+                          max_size=len(terms)))
+    return "".join(s + t for s, t in zip(signs, terms)).lstrip(" +")
+
+
+_POWER = st.builds(
+    "{}^{}".format,
+    st.sampled_from(["x", "y", "(x - y)", "(x*y)", "(x^2 - 3*y^2)", "2"]),
+    st.sampled_from(["0", "1", "3", "50", "100", "101", "9" * 25, "1" * 5000]),
+)
+
+
+@st.composite
+def _vector(draw):
+    degree = draw(st.sampled_from([2, 3, 101]))
+    entries = st.sampled_from(["1", "-1", "0", "2.5", "-3/7", "1e3", "1_000", "nan",
+                               "inf", "-inf", "1e999999999", "1e-4301", "1e4299", "x"])
+    n = degree + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return f"{degree}: " + ", ".join(draw(st.lists(entries, min_size=n, max_size=n)))
+
+
+@st.composite
+def _nested(draw, inner):
+    levels = draw(st.sampled_from([1, 2, 100, 101, 10_000]))
+    return "(" * levels + draw(inner) + ")" * levels
+
+
+_FORM = st.one_of(
+    _sum(), _POWER, _vector(),
+    _nested(st.one_of(_sum(), _POWER)),
+    st.text(alphabet="xy()^*+-/0123456789 .:,e", max_size=30),
+)
+_PARAM = st.sampled_from(["-1", "0", "1", "2", "3", "7", "49", "50", "101",
+                          "99999999999999999999"])
+
+
+@st.composite
+def _command(draw):
+    command = draw(st.sampled_from(["check", "index", "family", "curves"]))
+    if command == "family":
+        kind = draw(st.sampled_from(["arnold", "pfact", "g", "f", "reps"]))
+        even = ["--even"] if draw(st.booleans()) else []
+        return ["family", kind, *draw(st.lists(_PARAM, max_size=3)), *even]
+    form = draw(_FORM)
+    if command == "curves":
+        return ["curves", f"--poly={form}", "--out", "OUT/fig.svg", "--step", "0.05"]
+    return [command, "--", form]
+
+
+FUZZ_SECONDS = 5.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_command())
+@example(argv=["check", "--", "(" * 200 + "x^3" + ")" * 200])
+@example(argv=["curves", "--poly=x*(x^2 - y^2)", "--out", "OUT/missing/fig.svg",
+               "--step", "0.05"])
+@example(argv=["curves", f"--poly={PFACT_4}", "--out", "OUT/fig.svg",
+               "--viewport", "1e200", "--step", "1e197"])
+def test_cli_fuzz_ends_in_an_answer_or_a_bad_input_exit(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("OUT", tmp) for a in argv]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's exit on a bad command line
+                code = exc.code
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < FUZZ_SECONDS, (argv, elapsed)

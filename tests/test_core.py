@@ -17,7 +17,7 @@ from hypforms import (
     parse_form,
     rotational_derivative,
 )
-from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE
+from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE, MAX_NESTING
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -252,3 +252,17 @@ def test_linear_form_to_form():
     assert f.degree == 1
     assert f.eval(1, 0) == 2
     assert f.eval(0, 1) == -3
+
+
+def test_parentheses_nest_up_to_the_limit():
+    assert MAX_NESTING == 100
+    text = "(" * MAX_NESTING + "x^3 - x*y^2" + ")" * MAX_NESTING
+    assert parse_form(text) == parse_form("x^3 - x*y^2")
+    # a sibling group does not add to the depth
+    assert parse_form("(" * 99 + "(x)*(y)" + ")" * 99) == parse_form("x*y")
+
+
+@pytest.mark.parametrize("levels", [101, 10_000])
+def test_parentheses_nested_above_the_limit_are_rejected(levels):
+    with pytest.raises(ParseError, match="parentheses nested above the limit of 100 levels"):
+        parse_form("(" * levels + "x^3" + ")" * levels)
