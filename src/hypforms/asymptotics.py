@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import hessian, is_hyperbolic, is_negative_form, require_hyperbolic
-from .classify import RefinementError, count_real_linear_factors
+from .classify import (
+    _MAX_DEPTH, RefinementError, _second_partials_float, count_real_linear_factors,
+)
 from .core import BinaryForm, Rat, second_partials
-
-_MAX_DEPTH = 24
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,11 @@ def second_fundamental_form(f: BinaryForm, x: float, y: float) -> QuadFormAt:
 
 
 def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    # Solutions (u, v) of a u^2 + 2b uv + c v^2 = 0, discriminant > 0 required.
-    # The large-magnitude root numerator s avoids cancellation; the second
-    # root comes from the root product c/a.
-    disc = b * b - a * c
-    if disc <= 0.0:
-        raise ValueError("no real null directions: discriminant <= 0")
-    r = math.sqrt(disc)
+    # Solutions (u, v) of a u^2 + 2b uv + c v^2 = 0; the caller has checked
+    # that the discriminant b^2 - ac is positive.  The large-magnitude root
+    # numerator s avoids cancellation; the second root comes from the root
+    # product c/a.
+    r = math.sqrt(b * b - a * c)
     if a == 0.0:
         return (1.0, 0.0), (-c, 2.0 * b)
     s = -(b + r) if b >= 0.0 else -b + r
@@ -99,6 +97,8 @@ def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tu
 def asymptotic_directions(q: QuadFormAt) -> tuple[float, float]:
     """The two null directions of q as angles in [0, pi), ascending.
     Scaling q by a nonzero constant leaves the result unchanged."""
+    if q.discriminant <= 0.0:
+        raise ValueError("no real null directions: discriminant <= 0")
     v1, v2 = _null_vectors(q.a, q.b, q.c)
     angles = sorted(math.atan2(v[1], v[0]) % math.pi for v in (v1, v2))
     return angles[0], angles[1]
@@ -132,19 +132,14 @@ def poincare_index_origin(f: BinaryForm) -> Fraction:
     on P_24, whose index is -22.
     """
     require_hyperbolic(f)
-    fxx, fxy, fyy = second_partials(f)
+    at = _second_partials_float(f)
     cache: dict[float, tuple[float, float]] = {}
 
     def dirs(phi: float) -> tuple[float, float]:
         got = cache.get(phi)
         if got is not None:
             return got
-        x, y = math.cos(phi), math.sin(phi)
-        a = fxx.eval_float(x, y)
-        b = fxy.eval_float(x, y)
-        c = fyy.eval_float(x, y)
-        if b * b - a * c <= 0.0:
-            raise RefinementError("degenerate directions on the unit circle")
+        a, b, c = at(math.cos(phi), math.sin(phi))
         v1, v2 = _null_vectors(a, b, c)
         out = (math.atan2(v1[1], v1[0]), math.atan2(v2[1], v2[0]))
         cache[phi] = out
@@ -178,7 +173,9 @@ def poincare_index_origin(f: BinaryForm) -> Fraction:
                 if abs(m1 + e1 - d1) < 1e-9:
                     return theta + d1
         if depth >= _MAX_DEPTH:
-            raise RefinementError("direction lift failed to converge")
+            raise RefinementError(
+                f"direction lift failed to converge at phi = {phi0!r}, depth {depth}"
+            )
         mid = 0.5 * (phi0 + phi1)
         theta_mid = advance(theta, phi0, mid, depth + 1)
         return advance(theta_mid, mid, phi1, depth + 1)
@@ -232,87 +229,68 @@ def integrate_curve(
         raise ValueError("field_choice must be 'F1' or 'F2'")
     if step <= 0.0 or max_len <= 0.0:
         raise ValueError("step and max_len must be positive")
-    fxx, fxy, fyy = second_partials(f)
-
-    def null_dirs(x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        # float evaluation: direction error stays at rounding level, and the
-        # stepper calls this once or more per vertex
-        a = fxx.eval_float(x, y)
-        b = fxy.eval_float(x, y)
-        c = fyy.eval_float(x, y)
-        if b * b - a * c <= 0.0:
-            raise RefinementError(
-                f"degenerate direction field at ({x!r}, {y!r}); "
-                "cannot happen for a certified hyperbolic form"
-            )
-        v1, v2 = _null_vectors(a, b, c)
-        return _unit(*v1), _unit(*v2)
+    at = _second_partials_float(f)
+    min_dot = math.cos(math.pi / 4.0)  # consecutive directions turn by under 45 degrees
 
     def aligned(x: float, y: float, ref: tuple[float, float]) -> tuple[float, float]:
         # Null direction at (x, y) closest to ref, sign-matched to ref.
         best = None
         best_dot = 0.0
-        for w in null_dirs(x, y):
+        a, b, c = at(x, y)
+        v1, v2 = _null_vectors(a, b, c)
+        for w in (_unit(*v1), _unit(*v2)):
             d = w[0] * ref[0] + w[1] * ref[1]
             if abs(d) > abs(best_dot):
                 best, best_dot = w, d
         if best_dot < 0.0:
             best = (-best[0], -best[1])
             best_dot = -best_dot
-        if best_dot <= math.cos(math.pi / 4.0):
-            raise RefinementError("direction lift broke between consecutive points")
+        if best_dot <= min_dot:
+            raise RefinementError(
+                f"direction lift broke at ({x!r}, {y!r}), "
+                f"{math.hypot(x, y):.3g} from the origin"
+            )
         return best
 
-    w1, w2 = null_dirs(sx, sy)
+    a, b, c = at(sx, sy)
+    v1, v2 = _null_vectors(a, b, c)
     by_angle = sorted(
-        (w1, w2), key=lambda w: math.atan2(w[1], w[0]) % math.pi
+        (_unit(*v1), _unit(*v2)), key=lambda w: math.atan2(w[1], w[0]) % math.pi
     )
     d0 = by_angle[0] if field_choice == "F1" else by_angle[1]
     arm_steps = int((max_len / 2.0) / step)
 
-    def grow_forward() -> list[tuple[float, float]]:
-        pts = [(sx, sy)]
+    def grow(forward: bool) -> list[tuple[float, float]]:
+        # The forward arm steps along the direction at each vertex.  The
+        # backward arm builds predecessors of the seed so that, in final
+        # order, each vertex's outgoing segment is the null direction at
+        # that vertex: it solves prev + step * dir(prev) = cur by fixed-point
+        # iteration.  Negation is exact, so x + (-step) * u rounds as
+        # x - step * u does.
+        h = step if forward else -step
+        pts = [(sx, sy)] if forward else []
         x, y = sx, sy
         d = d0
         for _ in range(arm_steps):
-            nx, ny = x + step * d[0], y + step * d[1]
+            if not forward:
+                d = aligned(x + h * d[0], y + h * d[1], d)
+                for _ in range(7):
+                    prev, d = d, aligned(x + h * d[0], y + h * d[1], d)
+                    if math.hypot(d[0] - prev[0], d[1] - prev[1]) < 1e-15:
+                        break
+            nx, ny = x + h * d[0], y + h * d[1]
             if math.hypot(nx, ny) < standoff:
                 break
             pts.append((nx, ny))
             if abs(nx) > viewport or abs(ny) > viewport:
                 break
             x, y = nx, ny
-            d = aligned(x, y, d)
+            if forward:
+                d = aligned(x, y, d)
         return pts
 
-    def grow_backward() -> list[tuple[float, float]]:
-        # Build predecessors of the seed so that, in final order, each
-        # vertex's outgoing segment is the null direction at that vertex:
-        # solve prev + step * dir(prev) = cur by fixed-point iteration.
-        pts: list[tuple[float, float]] = []
-        x, y = sx, sy
-        d = d0
-        for _ in range(arm_steps):
-            u = aligned(x - step * d[0], y - step * d[1], d)
-            for _ in range(7):
-                u_next = aligned(x - step * u[0], y - step * u[1], u)
-                if math.hypot(u_next[0] - u[0], u_next[1] - u[1]) < 1e-15:
-                    u = u_next
-                    break
-                u = u_next
-            px, py = x - step * u[0], y - step * u[1]
-            if math.hypot(px, py) < standoff:
-                break
-            pts.append((px, py))
-            if abs(px) > viewport or abs(py) > viewport:
-                break
-            x, y = px, py
-            d = u
-        return pts
-
-    back = grow_backward()
-    fwd = grow_forward()
-    points = tuple(reversed(back)) + tuple(fwd)
+    back = grow(False)
+    points = tuple(reversed(back)) + tuple(grow(True))
     return CurvePolyline(points=points, field_choice=field_choice, seed=(sx, sy))
 
 

@@ -26,6 +26,26 @@ _MAX_DEPTH = 24
 _RESIDUAL = 0.1  # accepted distance to the nearest whole revolution
 
 
+def _second_partials_float(f: BinaryForm):
+    """at(x, y) -> (f_xx, f_xy, f_yy) in floats, the one float evaluation of
+    the second partials behind the gamma winding, the direction lift and the
+    curve stepper.  It raises OverflowError when the discriminant
+    b*b - a*c has no float value, and RefinementError when it is not
+    positive, so that no caller reads a degenerate or overflowed form."""
+    exx, exy, eyy = (p.eval_float for p in second_partials(f))
+
+    def at(x: float, y: float) -> tuple[float, float, float]:
+        a, b, c = exx(x, y), exy(x, y), eyy(x, y)
+        disc = b * b - a * c
+        if 0.0 < disc < math.inf:
+            return a, b, c
+        if math.isfinite(disc):
+            raise RefinementError(f"second partials not indefinite at ({x!r}, {y!r})")
+        raise OverflowError(f"second partials out of the float range at ({x!r}, {y!r})")
+
+    return at
+
+
 def count_real_linear_factors(f: BinaryForm) -> int:
     """Number of distinct real lines in the zero set of f."""
     if f.is_zero():
@@ -134,13 +154,10 @@ def winding_gamma_numeric(f: BinaryForm) -> int:
     on P_26 (index -24) and on the three lowest representatives at D = 30.
     """
     require_hyperbolic(f)
-    exx, exy, eyy = (p.eval_float for p in second_partials(f))
+    at = _second_partials_float(f)
 
     def vec(phi: float) -> tuple[float, float]:
-        x, y = math.cos(phi), math.sin(phi)
-        a, b, c = exx(x, y), exy(x, y), eyy(x, y)
-        if a * c - b * b >= 0.0:
-            raise RefinementError("sample left the indefinite cone")
+        a, b, c = at(math.cos(phi), math.sin(phi))
         return (a - c, 2.0 * b)
 
     samples = 64 + 16 * f.degree

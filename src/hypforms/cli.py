@@ -245,6 +245,9 @@ def figure_curves(
 ) -> list[CurvePolyline]:
     """Both asymptotic-field integral curves through every figure seed."""
     require_hyperbolic(f)
+    # eval_float converts the coefficients on its first call: one with no
+    # float value raises OverflowError here, before the exact seed search
+    f.eval_float(1.0, 1.0)
     curves = []
     max_len = FIGURE_LENGTH * viewport
     for seed in _figure_seeds(f, viewport):

@@ -118,6 +118,31 @@ def _over(c: list[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in c)
 
 
+def _power(var: str, e: int) -> str:
+    return "" if e == 0 else (var if e == 1 else f"{var}^{e}")
+
+
+def _signed_sum(terms) -> str:
+    """Text of a sum of (coefficient, monomial text) pairs in order: zero
+    terms are skipped, a unit coefficient is dropped before a monomial, an
+    empty monomial prints the bare constant, and no term at all prints 0."""
+    parts = []
+    for c, mono in terms:
+        if c == 0:
+            continue
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------
@@ -187,23 +212,8 @@ class UniPoly:
         return Fraction(_hom_eval(c, b, t.numerator), den * b ** max(self.degree, 0))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if i > 0 and abs(c) == 1:
-                term = mono
-            elif i == 0:
-                term = str(abs(c))
-            else:
-                term = f"{abs(c)}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+        return _signed_sum((self.coeffs[i], _power("t", i))
+                           for i in range(self.degree, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -600,25 +610,8 @@ def parse_form(text: str) -> BinaryForm:
 def format_form(f: BinaryForm) -> str:
     """Canonical text; parse_form(format_form(f)) == f for every nonzero
     form parse_form accepts."""
-    if f.is_zero():
-        return "0"
     d = f.degree
-    parts = []
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        xp, yp = d - i, i
-        mono = []
-        if xp:
-            mono.append("x" if xp == 1 else f"x^{xp}")
-        if yp:
-            mono.append("y" if yp == 1 else f"y^{yp}")
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(mono)
-        else:
-            body = "*".join([str(abs(c))] + mono)
-        parts.append(("- " if c < 0 else "+ ") + body)
-    s = " ".join(parts)
-    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+    return _signed_sum(
+        (c, "*".join(m for m in (_power("x", d - i), _power("y", i)) if m))
+        for i, c in enumerate(f.coeffs)
+    )

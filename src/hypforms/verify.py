@@ -301,32 +301,23 @@ def suite_lemmas(n_max: int = 40) -> SuiteReport:
     t0 = time.perf_counter()
     jobs = _critical_point_jobs("lemmas", n_max)
 
-    for n in range(11, n_max + 1):
-        def lemma2(n: int = n):
-            p = (
-                UniPoly((Fraction(-8 * n * n), Fraction(0), Fraction(-8 * n * n)))
-                + Fraction(16 * n**4) * _bump_poly(n)
-            )
+    def strict_bound(n: int, c0: int, c2: int, scale: int):
+        # c0 + c2*t^2 + scale * (1 - t^2)^2 * t^(2n-2) < 0 on [0, 1]
+        def case():
+            p = UniPoly((Fraction(c0), Fraction(0), Fraction(c2))) + Fraction(scale) * _bump_poly(n)
             return _exact(
                 "strictly negative on [0,1]",
                 "strictly negative on [0,1]"
                 if is_nonpositive_on_unit_interval(p, strict=True)
                 else "NOT strictly negative",
             )
-        jobs.append((f"lemmas/quartic-bound/n={n:02d}", lemma2))
+        return case
 
-        def lemma3(n: int = n):
-            p = (
-                UniPoly((Fraction(-12 * n), Fraction(0), Fraction(-4 * n)))
-                + Fraction(16 * n**3) * _bump_poly(n)
-            )
-            return _exact(
-                "strictly negative on [0,1]",
-                "strictly negative on [0,1]"
-                if is_nonpositive_on_unit_interval(p, strict=True)
-                else "NOT strictly negative",
-            )
-        jobs.append((f"lemmas/cubic-bound/n={n:02d}", lemma3))
+    for n in range(11, n_max + 1):
+        jobs.append((f"lemmas/quartic-bound/n={n:02d}",
+                     strict_bound(n, -8 * n * n, -8 * n * n, 16 * n**4)))
+        jobs.append((f"lemmas/cubic-bound/n={n:02d}",
+                     strict_bound(n, -12 * n, -4 * n, 16 * n**3)))
 
     for n in range(2, 12):
         def middle_block(n: int = n):

@@ -2,6 +2,7 @@
 cross-term discriminants, and deformation checks."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hypforms import (
     poincare_index_origin,
     polylines_to_csv,
     polylines_to_svg,
+    representatives,
     second_fundamental_form,
 )
 
@@ -78,6 +80,15 @@ def test_poincare_rejects_non_hyperbolic():
 
     with pytest.raises(NotHyperbolicError):
         poincare_index_origin(parse_form("x^4 + y^4"))
+
+
+def test_poincare_lift_failure_names_phi_and_depth(monkeypatch):
+    # P_10 needs a bisection on the first arc of its lift
+    p10 = next(m.form for m in representatives(10) if m.label == "P_10")
+    monkeypatch.setattr(asymptotics, "_MAX_DEPTH", 0)
+    with pytest.raises(RefinementError,
+                       match=r"^direction lift failed to converge at phi = 0\.23\d*, depth 0$"):
+        poincare_index_origin(p10)
 
 
 # ----------------------------------------------------- ray-field parity law
@@ -187,6 +198,21 @@ def test_integrate_termination_modes():
         for i in range(len(c3.points) - 1)
     )
     assert length <= 0.5 + 2e-3
+
+
+def test_integrate_break_names_the_vertex():
+    # a curve along the zero line at 30 degrees, where the step is too
+    # coarse for this form near the origin
+    f = parse_form("(x^2 + y^2)*(x^3 - 3*x*y^2)")
+    seed = (0.43301270189221935, 0.25)
+    with pytest.raises(RefinementError) as info:
+        integrate_curve(f, seed, field_choice="F1", step=0.01, max_len=6.0, viewport=1.0)
+    m = re.fullmatch(r"direction lift broke at \((\S+), (\S+)\), (\S+) from the origin",
+                     str(info.value))
+    assert m is not None, str(info.value)
+    x, y = float(m.group(1)), float(m.group(2))
+    assert f"{math.hypot(x, y):.3g}" == m.group(3)
+    assert math.hypot(x, y) < 0.02
 
 
 def test_integrate_validates_arguments():

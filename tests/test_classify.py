@@ -21,6 +21,7 @@ from hypforms import (
     winding_gamma_numeric,
     zeros_vs_critical_points,
 )
+from hypforms.classify import RefinementError, _second_partials_float
 
 X, Y = sympy.symbols("x y")
 
@@ -117,6 +118,28 @@ def test_winding_matches_index_on_small_forms():
 def test_winding_rejects_non_hyperbolic():
     with pytest.raises(NotHyperbolicError):
         winding_gamma_numeric(parse_form("x^4 + y^4"))
+
+
+def test_second_partials_float_values():
+    at = _second_partials_float(parse_form("x^3 - x*y^2"))
+    assert at(1.0, 0.0) == (6.0, 0.0, -2.0)
+    assert at(0.5, 2.0) == (3.0, -4.0, -1.0)
+
+
+def test_second_partials_float_rejects_a_definite_form():
+    with pytest.raises(RefinementError, match=r"not indefinite at \(1\.0, 0\.0\)"):
+        _second_partials_float(parse_form("x^2 + y^2"))(1.0, 0.0)
+
+
+@pytest.mark.parametrize("poly, point", [
+    ("x^3 - x*y^2", (1e200, 0.0)),    # b*b - a*c = 0 + 1.2e401: inf
+    ("x^4 + y^4", (1e100, 1e100)),    # 0 - inf: -inf, an overflow, not a definite form
+    ("x^2*y^2", (1e100, 1e100)),      # inf - inf: nan
+])
+def test_second_partials_float_raises_overflow_on_a_discriminant_with_no_float_value(
+        poly, point):
+    with pytest.raises(OverflowError):
+        _second_partials_float(parse_form(poly))(*point)
 
 
 # --------------------------------------------------- zeros vs critical pts

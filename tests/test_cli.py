@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypforms import arnold, sturm_count
+from hypforms import arnold, parse_form, polylines_to_csv, sturm_count
 from hypforms.certify import float_roots
 from hypforms import cli, verify
 from hypforms.cli import _line_directions, main
@@ -370,6 +370,30 @@ def test_curves_figure_outside_the_float_range_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("viewport, step", [("1e40", "1e37"), ("1e35", "1e32"), ("1e32", "1e29")])
+def test_curves_second_partials_outside_the_float_range_are_bad_input(
+        tmp_path, capsys, viewport, step):
+    # the second partials have float values at every seed, but their
+    # discriminant b*b - a*c overflows to inf
+    out = tmp_path / "p.svg"
+    code, _, err = run(capsys, "curves", "--poly", PFACT_4, "--out", str(out),
+                       "--viewport", viewport, "--step", step)
+    assert code == 2
+    assert err == "bad input: a value of the figure is out of the float range\n"
+    assert not out.exists()
+
+
+def test_curves_coefficient_with_no_float_value_fails_before_the_seed_search(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "float_roots", lambda *a: pytest.fail("seed search ran"))
+    out = tmp_path / "n.svg"
+    poly = f"{'9' * 4299}*x^3 - {'7' * 4000}*x*y^2"
+    code, _, err = run(capsys, "curves", "--poly", poly, "--out", str(out))
+    assert code == 2
+    assert err == "bad input: a value of the figure is out of the float range\n"
+    assert not out.exists()
+
+
 # sha256 of the default figures of the benchmark's four forms: the float
 # evaluator, the curve stepper and the seed search must keep every byte of
 # them.  The bytes also rest on the C library's pow, sqrt, hypot, cos, sin
@@ -390,6 +414,22 @@ def test_curves_default_figure_bytes_are_pinned(tmp_path, capsys):
         code, _, _ = run(capsys, "curves", "--poly", poly, "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, poly
+
+
+# sha256 of the full-resolution CSV of a coarse figure: the SVG keeps at most
+# about 800 points per path, so only the CSV checks every vertex of the
+# stepper.  The last figure form breaks at this step, so it is left out.
+CSV_SHA256 = {
+    "x*(x^2 - y^2)": "77711a735b16674b62075051ceef6ca2f0452ebd80a4c0bb43693da0eab7b77f",
+    "x*y*(x^2 - y^2)": "de151e189e64d2d5dcf4cca3750650c1903efa22a0a3d39cfab3fffe47365eed",
+    "x^3 - 3*x*y^2": "61bead7f07de0ea736faa02491e79b2b7a00a7e7f6eb869bb0c68be681b3195a",
+}
+
+
+@pytest.mark.parametrize("poly", CSV_SHA256)
+def test_curves_csv_vertices_are_pinned(poly):
+    csv = polylines_to_csv(cli.figure_curves(parse_form(poly), step=0.01, viewport=1.0))
+    assert hashlib.sha256(csv.encode()).hexdigest() == CSV_SHA256[poly]
 
 
 @pytest.mark.parametrize("m", [12, 14, 16])
