@@ -319,19 +319,20 @@ def _validate_pair(p: BinaryForm, q: BinaryForm) -> int:
 def _cross_blocks(p: BinaryForm, q: BinaryForm):
     """The two blocks of the second derivatives of p*q that omit
     p * (second partials of q): q * (pxx, pxy, pyy) and the symmetrized
-    first-derivative product (px qx, px qy + py qx, py qy).  Validates the
-    pair and verifies the mixed second-derivative identity of
-    discriminant_omega first."""
+    first-derivative product (px qx, px qy + py qx, py qy), and the
+    cross-term form that they sum to.  Validates the pair and verifies the
+    mixed second-derivative identity of discriminant_omega first."""
     n = _validate_pair(p, q)
     px, py = p.partial_x(), p.partial_y()
     qx, qy = q.partial_x(), q.partial_y()
     pxx, pxy, pyy = second_partials(p)
-    sym = (px * qx, px * qy + py * qx, py * qy)
-    t_comb = pxx * py * qy + pyy * px * qx - pxy * sym[1]
+    sa, sb, sc = px * qx, px * qy + py * qx, py * qy
+    t_comb = pxx * py * qy + pyy * px * qx - pxy * sb
     expected = Rat(2 * n, p.degree - 1) * (q * hessian(p))
     if t_comb != expected:
         raise ValueError("mixed second-derivative identity failed")
-    return (q * pxx, q * pxy, q * pyy), sym
+    qa, qb, qc = q * pxx, q * pxy, q * pyy
+    return (qa, qb, qc), (sa, sb, sc), (qa + 2 * sa, qb + sb, qc + 2 * sc)
 
 
 def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
@@ -342,8 +343,7 @@ def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     identity, that the mixed second-derivative combination
     p_xx p_y q_y + p_yy p_x q_x - p_xy (p_x q_y + p_y q_x) equals
     (2n / (deg p - 1)) * q * (Hessian of p)."""
-    (qa, qb, qc), (sa, sb, sc) = _cross_blocks(p, q)
-    a, b, c = qa + 2 * sa, qb + sb, qc + 2 * sc
+    _, _, (a, b, c) = _cross_blocks(p, q)
     return b * b - a * c
 
 
@@ -368,8 +368,7 @@ def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
     off the origin at every grid value (proved exactly).  The pair is
     validated, and the mixed-derivative identity verified, as in
     discriminant_omega."""
-    (qa, qb, qc), (sa, sb, sc) = _cross_blocks(p, q)
-    oa, ob, oc = qa + 2 * sa, qb + sb, qc + 2 * sc
+    (qa, qb, qc), (sa, sb, sc), (oa, ob, oc) = _cross_blocks(p, q)
     qxx, qxy, qyy = second_partials(q)
 
     def positive_off_origin(a: BinaryForm, b: BinaryForm, c: BinaryForm) -> bool:

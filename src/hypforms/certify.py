@@ -7,14 +7,14 @@ this module decides signs exactly, on integers: hessian and polar_form run
 on the integer multiple of f that clears its denominators, and every sign
 decision runs one signed primitive remainder sequence of p and p' (content
 stripped at every step).  Its last term is gcd(p, p'), and the sequence
-divided by that gcd is a Sturm sequence of the squarefree part of p.  One
-isolation walk on this sequence serves counting, isolation, float rounding,
-rational touches and gap signs: a count is the difference of its sign
-variations at two points, _isolate bisects until each interval holds one
-root, evaluating the sequence once per bisection point, and _halve refines
-one root's interval.  A bound p <= 0 on [0, 1] reads one sign of p in each
-gap between the roots isolated there; the strict bound p < 0 fails at the
-first of them.
+divided by that gcd is a Sturm sequence of the squarefree part of p, which
+is its first term.  One isolation walk on this sequence serves counting,
+isolation, float rounding, rational touches and gap signs: a count is the
+difference of its sign variations at two points, _isolate bisects until
+each interval holds one root, evaluating the sequence once per bisection
+point, and _halve refines one root's interval.  A bound p <= 0 on [0, 1]
+reads one sign of p in each gap between the roots isolated there; the
+strict bound p < 0 fails at the first of them.
 Fraction appears only where forms and polynomials enter and leave.
 Negativity of an even form reduces by homogeneity to one chart plus one
 extra point.
@@ -59,23 +59,21 @@ def _primitive(p: list[int]) -> list[int]:
 def _rem_signed(a: list[int], b: list[int]) -> list[int]:
     """Positive rational multiple of the euclidean remainder a mod b."""
     lead = b[-1]
+    scale, sign = abs(lead), (lead > 0) - (lead < 0)
     r = list(a)
-    steps = 0
     while len(r) >= len(b) and r:
         if r[-1] == 0:
             r.pop()
             continue
         shift = len(r) - len(b)
-        top = r[-1]
-        # cross-multiply instead of dividing; track parity of the lead factors
-        r = [lead * c for c in r]
+        top = sign * r[-1]
+        # cross-multiply by |lead| instead of dividing: each step is a
+        # positive multiple of the division step
+        r = [scale * c for c in r]
         for j, bc in enumerate(b):
             r[shift + j] -= top * bc
         _trim(r)
-        steps += 1
         r = _primitive(r)
-    if steps and lead < 0 and steps % 2 == 1:
-        r = [-c for c in r]
     return r
 
 
@@ -113,24 +111,24 @@ def _prs(a: list[int], b: list[int]) -> list[list[int]]:
     return seq
 
 
-def _sturm(p: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Sturm sequence of the squarefree part ps of p, and ps itself.
+def _sturm(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of the squarefree part of p, which is its first term.
 
-    One signed remainder sequence of (p, p') gives both: its last term is
+    One signed remainder sequence of (p, p') gives it: its last term is
     gcd(p, p'), and the sequence divided termwise by that gcd is a Sturm
-    sequence of ps = p / gcd(p, p').  It counts the distinct roots of p in
-    a half-open interval (a, b] exactly, endpoints that are roots included.
+    sequence of p / gcd(p, p').  It counts the distinct roots of p in a
+    half-open interval (a, b] exactly, endpoints that are roots included.
     """
     p = _primitive(_trim(list(p)))
     if len(p) <= 1:
-        return [p], p
+        return [p]
     chain = _prs(p, _primitive(_deriv(p)))
     g = chain[-1]
     if len(g) > 1:
         if g[-1] < 0:
             g = [-c for c in g]
         chain = [_divexact(q, g) for q in chain]
-    return chain, chain[0]
+    return chain
 
 
 def _sign_at(p: list[int], t: Fraction) -> int:
@@ -190,10 +188,7 @@ def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None
         raise ValueError("root counting on the zero polynomial")
     if a is not None and b is not None and a >= b:
         raise ValueError("need a < b")
-    ints = _int_coeffs(p.coeffs)
-    if len(ints) <= 1:
-        return 0
-    return _count(_sturm(ints)[0], a, b)
+    return _count(_sturm(_int_coeffs(p.coeffs)), a, b)
 
 
 def _isolate(chain: list[list[int]], lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
@@ -233,10 +228,8 @@ def float_roots(p: UniPoly) -> list[float]:
     it is."""
     if p.is_zero():
         raise ValueError("root isolation on the zero polynomial")
-    ints = _int_coeffs(p.coeffs)
-    if len(ints) <= 1:
-        return []
-    chain, ps = _sturm(ints)
+    chain = _sturm(_int_coeffs(p.coeffs))
+    ps = chain[0]
     bound = _cauchy_bound(ps)
     out = []
     for a, b in _isolate(chain, -bound, bound):
@@ -271,15 +264,13 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
     top = max(ints[0], sum(ints))  # the larger of p(0) and p(1), up to a factor
     if top > 0 or strict and top == 0:
         return False
-    if len(ints) <= 1:
-        return True
     # p keeps one sign in each gap between its roots in [0, 1], so one
     # nonzero sign per gap decides, and a strict bound fails at any root.
     # Right of the last root it is p(1) < 0 (unless 1 is that root).  Left
     # of each root it is read at the left end a of the root's isolating
     # interval (a, b], or, when a is itself a root (0 or the root before),
     # at the first point to which halving (a, b] moves a.
-    chain = _sturm(ints)[0]
+    chain = _sturm(ints)
     for a, b in _isolate(chain, Fraction(0), Fraction(1)):
         if strict:
             return False
@@ -317,14 +308,14 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
         return False, (Fraction(1), Fraction(0))
     if ints[-1] >= 0:  # h(0, 1)
         return False, (Fraction(0), Fraction(1))
-    chain, ps = _sturm(ints)
-    if len(ps) <= 1 or _count(chain, None, None) == 0:
+    chain = _sturm(ints)
+    if _count(chain, None, None) == 0:
         return True, None
-    return False, _root_witness(ints, chain, ps)
+    return False, _root_witness(ints, chain)
 
 
-def _root_witness(ints: list[int], chain, ps) -> tuple[Rat, Rat] | None:
-    bound = _cauchy_bound(ps)
+def _root_witness(ints: list[int], chain: list[list[int]]) -> tuple[Rat, Rat] | None:
+    bound = _cauchy_bound(chain[0])
     for a, b in _isolate(chain, -bound, bound):
         # odd multiplicity forces a sign change, so an endpoint value >= 0
         # exists unless the single root sits exactly at b
@@ -333,9 +324,9 @@ def _root_witness(ints: list[int], chain, ps) -> tuple[Rat, Rat] | None:
         if _sign_at(ints, b) >= 0:
             return (Fraction(1), b)
         # both ends negative: an even-multiplicity touch of zero strictly
-        # inside (a, b), the one root there of gcd(h, h') = ints / ps; a
-        # rational witness exists only if that root is rational
-        r = _rational_root(_divexact(ints, ps), a, b)
+        # inside (a, b), the one root there of gcd(h, h') = ints / chain[0];
+        # a rational witness exists only if that root is rational
+        r = _rational_root(_divexact(ints, chain[0]), a, b)
         if r is not None:
             return (Fraction(1), r)
     return None
@@ -349,7 +340,8 @@ def _rational_root(g: list[int], a: Fraction, b: Fraction) -> Fraction | None:
     least 1/L^2 apart.  Once (a, b] is narrower than 1/L^2, the root is the
     rational with denominator <= L nearest to its midpoint, or is irrational.
     """
-    chain, gs = _sturm(g)
+    chain = _sturm(g)
+    gs = chain[0]
     lead = abs(gs[-1])
     while (b - a) * lead * lead >= 1:
         a, b = _halve(chain, a, b)

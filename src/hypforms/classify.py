@@ -51,9 +51,8 @@ def count_real_linear_factors(f: BinaryForm) -> int:
     if f.is_zero():
         raise ValueError("zero form")
     line = f.restrict("x=1")
-    roots = sturm_count(line) if line.degree >= 1 else 0
     # the line x = 0 is a factor exactly when the y^D coefficient vanishes
-    return roots + (1 if f.coeffs[-1] == 0 else 0)
+    return sturm_count(line) + (1 if f.coeffs[-1] == 0 else 0)
 
 
 def index_gamma(f: BinaryForm) -> int:
@@ -112,10 +111,11 @@ def _arg_delta(u: tuple[float, float], v: tuple[float, float]) -> float:
     return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
 
 
-def _winding_turns(vec, lo: float, hi: float, samples: int) -> float:
-    """Accumulated argument of the closed plane curve vec over [lo, hi],
-    in revolutions.  Segments with an argument step of pi/2 or more are
-    bisected, at most _MAX_DEPTH times each."""
+def _winding(vec, degree: int) -> int:
+    """Winding number of the closed plane curve vec over [0, 2*pi], sampled
+    at 64 + 16*degree points.  Segments with an argument step of pi/2 or
+    more are bisected, at most _MAX_DEPTH times each, and the accumulated
+    argument must lie within _RESIDUAL of a whole number of revolutions."""
 
     def accum(a: float, b: float, va, vb, depth: int) -> float:
         d = _arg_delta(va, vb)
@@ -127,22 +127,20 @@ def _winding_turns(vec, lo: float, hi: float, samples: int) -> float:
         vm = vec(m)
         return accum(a, m, va, vm, depth + 1) + accum(m, b, vm, vb, depth + 1)
 
+    samples = 64 + 16 * degree
     total = 0.0
-    prev_t = lo
-    prev_v = vec(lo)
+    prev_t = 0.0
+    prev_v = vec(0.0)
     for k in range(1, samples + 1):
-        t = lo + (hi - lo) * k / samples
+        t = 2.0 * math.pi * k / samples
         v = vec(t)
         total += accum(prev_t, t, prev_v, v, 0)
         prev_t, prev_v = t, v
-    return total / (2.0 * math.pi)
-
-
-def _round_turns(turns: float) -> int:
-    k = round(turns)
-    if abs(turns - k) >= _RESIDUAL:
+    turns = total / (2.0 * math.pi)
+    n = round(turns)
+    if abs(turns - n) >= _RESIDUAL:
         raise RefinementError(f"winding residual too large: {turns}")
-    return int(k)
+    return int(n)
 
 
 def winding_gamma_numeric(f: BinaryForm) -> int:
@@ -160,8 +158,7 @@ def winding_gamma_numeric(f: BinaryForm) -> int:
         a, b, c = at(math.cos(phi), math.sin(phi))
         return (a - c, 2.0 * b)
 
-    samples = 64 + 16 * f.degree
-    return _round_turns(_winding_turns(vec, 0.0, 2.0 * math.pi, samples))
+    return _winding(vec, f.degree)
 
 
 def winding_alpha_numeric(f: BinaryForm) -> int:
@@ -187,8 +184,7 @@ def winding_alpha_numeric(f: BinaryForm) -> int:
         # in-plane coordinates: component along (1, 0, -2D) and along (0, 1, 0)
         return (u - 2.0 * d * w, v)
 
-    samples = 64 + 16 * d
-    return _round_turns(_winding_turns(vec, 0.0, 2.0 * math.pi, samples))
+    return _winding(vec, d)
 
 
 def zeros_vs_critical_points(f: BinaryForm) -> tuple[int, int]:

@@ -19,9 +19,12 @@ Subcommands and exit codes:
   curves           0 with the figure written, 1 not hyperbolic, 2 bad input
                    (a parse error, degree below 2, zero form, a step or
                    viewport that is not finite and positive, more than
-                   MAX_ARM_STEPS steps per curve arm, a step too coarse
-                   for the direction lift, a figure value outside the float
-                   range, or an --out path that cannot be written)
+                   MAX_ARM_STEPS steps per curve arm, an --out path not
+                   ending in .svg or .csv, each checked before the form is
+                   certified, so also for one that is not hyperbolic; a
+                   step too coarse for the direction lift, a figure value
+                   outside the float range, or an --out path that cannot
+                   be written)
 
 A parse error includes a degree above MAX_DEGREE = 100, a numeral, or a
 coefficient numerator or denominator, of more than MAX_COEFF_DIGITS = 4300
@@ -276,6 +279,9 @@ def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
         print(f"step too small for the viewport: {arm_steps:.3g} steps per curve arm, "
               f"above the limit of {MAX_ARM_STEPS}", file=sys.stderr)
         return 2
+    if not out.endswith((".svg", ".csv")):
+        print("output path must end in .svg or .csv", file=sys.stderr)
+        return 2
     try:
         curves = figure_curves(f, step=step, viewport=viewport)
     except NotHyperbolicError as exc:
@@ -289,11 +295,8 @@ def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
         return 2
     if out.endswith(".svg"):
         payload = polylines_to_svg(curves, viewport=viewport)
-    elif out.endswith(".csv"):
-        payload = polylines_to_csv(curves)
     else:
-        print("output path must end in .svg or .csv", file=sys.stderr)
-        return 2
+        payload = polylines_to_csv(curves)
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -375,21 +375,9 @@ def euler_check(f: BinaryForm) -> bool:
 # text input / output
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(.))")
-
-
 class _Lexer:
     def __init__(self, text: str):
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                break
-            pos = m.end()
-            tok = m.group(1) or m.group(2)
-            if tok.strip():
-                self.tokens.append(tok)
+        self.tokens: list[str] = re.findall(r"\d+|\S", text)
         self.i = 0
 
     def peek(self) -> str | None:

@@ -48,33 +48,24 @@ from .families import (
 
 DEFAULT_SEED = 20260816
 
-SUITE_NAMES = (
-    "table1",
-    "conjecture",
-    "lemmas",
-    "hessian_expansion",
-    "equivalence",
-    "winding",
-    "obs_arnold",
-    "poincare",
-    "isotopies",
-)
-
-# The one range-checked override of each suite: (name, low, high).  With high
-# None the suite's own range has no upper end, and n_max stays at most
-# BUMP_N_MAX: the critical-point cases build the bump polynomial of degree
-# 2n + 2, which MAX_DEGREE bounds.
-_RANGES = {
+# The suites in run order, each with its one range-checked override:
+# (name, low, high), or None for a suite without one.  With high None the
+# suite's own range has no upper end, and n_max stays at most BUMP_N_MAX: the
+# critical-point cases build the bump polynomial of degree 2n + 2, which
+# MAX_DEGREE bounds.
+_SUITES = {
     "table1": ("d_max", 3, 16),
     "conjecture": ("d_max", 3, 24),
-    "lemma1": ("n_max", 2, None),
     "lemmas": ("n_max", 11, None),
     "hessian_expansion": ("n_max", 2, 14),
     "equivalence": ("d_max", 3, 20),
     "winding": ("d_max", 3, 16),
     "obs_arnold": ("d_max", 9, 16),
     "poincare": ("d_max", 3, 12),
+    "isotopies": None,
 }
+SUITE_NAMES = tuple(_SUITES)
+_RANGES = {**_SUITES, "lemma1": ("n_max", 2, None)}
 BUMP_N_MAX = (MAX_DEGREE - 2) // 2
 
 
@@ -160,6 +151,11 @@ def _exact(expected, got) -> dict:
         "pass": expected == got,
         "comparison": "exact",
     }
+
+
+def _holds(claim: str, ok: bool, otherwise: str) -> dict:
+    """A case whose got-text repeats the claim when it holds."""
+    return _exact(claim, claim if ok else otherwise)
 
 
 # ---------------------------------------------------------------- table1
@@ -305,12 +301,9 @@ def suite_lemmas(n_max: int = 40) -> SuiteReport:
         # c0 + c2*t^2 + scale * (1 - t^2)^2 * t^(2n-2) < 0 on [0, 1]
         def case():
             p = UniPoly((Fraction(c0), Fraction(0), Fraction(c2))) + Fraction(scale) * _bump_poly(n)
-            return _exact(
-                "strictly negative on [0,1]",
-                "strictly negative on [0,1]"
-                if is_nonpositive_on_unit_interval(p, strict=True)
-                else "NOT strictly negative",
-            )
+            return _holds("strictly negative on [0,1]",
+                          is_nonpositive_on_unit_interval(p, strict=True),
+                          "NOT strictly negative")
         return case
 
     for n in range(11, n_max + 1):
@@ -323,12 +316,9 @@ def suite_lemmas(n_max: int = 40) -> SuiteReport:
         def middle_block(n: int = n):
             terms = [t for t in _expansion_terms(n) if t[0] not in (4 * n - 2, 4 * n)]
             s_poly = _terms_to_poly(terms)
-            return _exact(
-                "nonpositive on [0,1]",
-                "nonpositive on [0,1]"
-                if is_nonpositive_on_unit_interval(s_poly, strict=False)
-                else "POSITIVE somewhere",
-            )
+            return _holds("nonpositive on [0,1]",
+                          is_nonpositive_on_unit_interval(s_poly, strict=False),
+                          "POSITIVE somewhere")
         jobs.append((f"lemmas/middle-block/n={n:02d}", middle_block))
     return _run("lemmas", jobs, t0)
 
@@ -350,7 +340,7 @@ def suite_hessian_expansion(n_max: int = 10) -> SuiteReport:
             g = g_even(n).form
             direct = hessian(g).restrict("y=1")
             rebuilt = _terms_to_poly(_expansion_terms(n))
-            return _exact("exact match", "exact match" if direct == rebuilt else "mismatch")
+            return _holds("exact match", direct == rebuilt, "mismatch")
         jobs.append((f"hessian_expansion/exact/n={n:02d}", expansion))
 
         def variant(n: int = n):
@@ -438,7 +428,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
         def fam(mem: FamilyMember = mem):
             h = is_hyperbolic(mem.form).verdict
             p = is_hyperbolic_polar(mem.form).verdict
-            return _exact(f"{h} == {h}", f"{h} == {p}" if h == p else f"{h} != {p}")
+            return _holds(f"{h} == {h}", h == p, f"{h} != {p}")
         jobs.append((f"equivalence/family/{i:03d}/{mem.label}", fam))
 
     rng = random.Random(seed)
@@ -460,10 +450,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
                 good = polar_form(form).eval(wx, wy) >= 0
                 ok = ok and good
                 details.append(f"polar witness {'valid' if good else 'INVALID'}")
-            return _exact(
-                "verdicts agree (witnesses valid)",
-                "verdicts agree (witnesses valid)" if ok else "; ".join(details),
-            )
+            return _holds("verdicts agree (witnesses valid)", ok, "; ".join(details))
         jobs.append((f"equivalence/random[seed={seed}]/{i:03d}", rand))
 
     for i in range(100):
@@ -472,7 +459,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
         def identity(line: LinearForm = line, form: BinaryForm = form):
             lhs = hess_linear_product(line, form)
             rhs = hessian(line.to_form() * form)
-            return _exact("identical forms", "identical forms" if lhs == rhs else "differ")
+            return _holds("identical forms", lhs == rhs, "differ")
         jobs.append((f"equivalence/line-product-identity[seed={seed}]/{i:03d}", identity))
 
     for i in range(100):
@@ -519,8 +506,7 @@ def suite_winding(d_max: int = 12) -> SuiteReport:
     for i, mem in enumerate(zvc_members):
         def zvc(mem: FamilyMember = mem):
             z, c = zeros_vs_critical_points(mem.form)
-            return _exact("zeros == critical points",
-                          "zeros == critical points" if z == c else f"{z} != {c}")
+            return _holds("zeros == critical points", z == c, f"{z} != {c}")
         jobs.append((f"winding/zeros-vs-critical/{i:03d}/{mem.label}", zvc))
     return _run("winding", jobs, t0)
 
@@ -551,10 +537,7 @@ def suite_obs_arnold(d_max: int = 16) -> SuiteReport:
             jobs.append((f"obs_arnold/gap/D={d:02d}", gap))
         else:
             def nogap(d: int = d):
-                return _exact(
-                    "table contains -1",
-                    "table contains -1" if -1 in rows.get(d, set()) else "missing",
-                )
+                return _holds("table contains -1", -1 in rows.get(d, set()), "missing")
             jobs.append((f"obs_arnold/covered/D={d:02d}", nogap))
     return _run("obs_arnold", jobs, t0)
 
@@ -709,7 +692,8 @@ def run_suite(
         fn = globals()[f"suite_{sub}"]
         accepted = inspect.signature(fn).parameters
         kwargs = {k: v for k, v in overrides.items() if v is not None and k in accepted}
-        if sub in _RANGES and _RANGES[sub][0] in kwargs:
-            _check_range(sub, kwargs[_RANGES[sub][0]])
+        limits = _SUITES[sub]
+        if limits and limits[0] in kwargs:
+            _check_range(sub, kwargs[limits[0]])
         calls.append((fn, kwargs))
     return [fn(**kwargs) for fn, kwargs in calls]

@@ -132,7 +132,7 @@ def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, 
     assert sturm_count(p) == len(roots)
     if a < b:
         assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
-    for lo, hi in certify._isolate(certify._sturm(certify._int_coeffs(p.coeffs))[0], Fraction(-4), Fraction(4)):
+    for lo, hi in certify._isolate(certify._sturm(certify._int_coeffs(p.coeffs)), Fraction(-4), Fraction(4)):
         assert sum(1 for r in roots if lo < r <= hi) == 1
     assert certify.float_roots(p) == [float(r) for r in roots]
 
@@ -155,7 +155,7 @@ def test_isolate_evaluates_the_chain_once_per_bisection_point(monkeypatch):
     p = UniPoly.const(1)
     for root, m in ISOLATE_ROOTS.items():
         p = p * linear_power(root, m)
-    chain = certify._sturm(certify._int_coeffs(p.coeffs))[0]
+    chain = certify._sturm(certify._int_coeffs(p.coeffs))
     points = []
     var_at = certify._var_at
 
@@ -186,7 +186,7 @@ def test_halve_keeps_the_half_with_the_root(root, half):
     # a double root next to a root outside (0, 1]: the walk runs on the
     # squarefree part
     p = linear_power(root, 2) * linear_power(Fraction(-5), 1)
-    chain = certify._sturm(certify._int_coeffs(p.coeffs))[0]
+    chain = certify._sturm(certify._int_coeffs(p.coeffs))
     assert certify._halve(chain, Fraction(0), Fraction(1)) == half
 
 
@@ -205,14 +205,16 @@ def test_sturm_handles_repeated_roots():
 
 
 def test_sturm_chain_endpoints():
-    chain, ps = certify._sturm([-2, 0, 1])  # t^2 - 2
+    chain = certify._sturm([-2, 0, 1])  # t^2 - 2
+    ps = chain[0]
     assert chain[0] == ps == [-2, 0, 1]
 
 
 def test_sturm_chain_starts_with_the_squarefree_part():
     # (t - 1)^3 (t + 2)^2 / 5 has the primitive squarefree part (t - 1)(t + 2)
     p = Fraction(1, 5) * (linear_power(Fraction(1), 3) * linear_power(Fraction(-2), 2))
-    chain, ps = certify._sturm(certify._int_coeffs(p.coeffs))
+    chain = certify._sturm(certify._int_coeffs(p.coeffs))
+    ps = chain[0]
     assert chain[0] == ps == [-2, 1, 1]
     # the derivative divided by gcd(p, p') = (t - 1)^2 (t + 2), not ps'
     assert chain[1] == [4, 5]
@@ -354,6 +356,27 @@ def test_certificates_are_pinned():
     )
     assert certificate_digest(repeated) == (
         "d18dac3622121d24c75e4f6e26a99f5beb1f0d6ffcff386000e9adfedcd864fe"
+    )
+
+
+def test_remainder_sequences_are_pinned():
+    # every term of _prs(p, p') on 200 seeded primitive polynomials with a
+    # negative leading coefficient and a repeated root; the certificate pins
+    # above see verdicts and witnesses only, not the terms of the chains
+    rng = random.Random(1009)
+    chains = []
+    for _ in range(200):
+        factors = [
+            linear_power(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), m)
+            for m in [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+        ]
+        if rng.random() < 0.5:
+            factors.append(UniPoly(tuple(Fraction(rng.randint(1, 9)) for _ in range(3))))
+        p = [-c for c in int_poly(factors)]
+        assert p[-1] < 0
+        chains.append(certify._prs(p, certify._primitive(certify._deriv(p))))
+    assert hashlib.sha256(json.dumps(chains).encode()).hexdigest() == (
+        "7d429ec525da1aa100d50b26693944f11561fb61c1e51c38f7667111bd9d679d"
     )
 
 
@@ -544,7 +567,7 @@ def test_repeated_line_rejections_carry_the_touch_as_witness(d, k):
         assert not cert.is_hyperbolic
         assert cert.witness == (Fraction(1), Fraction(1, s))
         assert target.eval(*cert.witness) == 0
-        ps = certify._sturm(certify._int_coeffs(target.coeffs))[1]
+        ps = certify._sturm(certify._int_coeffs(target.coeffs))[0]
         assert abs(ps[-1]) > 10**9
 
 
@@ -604,8 +627,8 @@ def test_rational_root_matches_sympy_on_seeded_polynomials():
             r = rng.choice((2, 3, 5, 6, 7)) * c * c + rng.choice((0, c))
             factors.append(UniPoly((Fraction(-r), Fraction(0), Fraction(rng.choice((1, 4, 9))))))
         g = int_poly(factors)
-        chain, gs = certify._sturm(g)
-        bound = certify._cauchy_bound(gs)
+        chain = certify._sturm(g)
+        bound = certify._cauchy_bound(chain[0])
         for a, b in certify._isolate(chain, -bound, bound):
             want = rational_root_oracle(g, a, b)
             assert certify._rational_root(g, a, b) == want

@@ -306,6 +306,18 @@ def test_curves_rejects_unknown_extension(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("poly", ["x^3 - 3*x*y^2", "x^5 - x*y^4"])
+def test_curves_checks_the_extension_before_drawing(tmp_path, capsys, monkeypatch, poly):
+    # a hyperbolic form is not drawn and a non-hyperbolic one is not
+    # certified: the extension is bad input either way
+    monkeypatch.setattr(cli, "figure_curves", lambda *a, **kw: pytest.fail("drawn"))
+    out = tmp_path / "fig.txt"
+    code, _, err = run(capsys, "curves", "--poly", poly, "--out", str(out))
+    assert code == 2
+    assert err == "output path must end in .svg or .csv\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--step", "--viewport"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
 def test_curves_rejects_step_or_viewport_not_finite_positive(tmp_path, capsys, flag, value):

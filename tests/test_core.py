@@ -77,6 +77,35 @@ def test_parse_rejects_garbage():
             parse_form(bad)
 
 
+@pytest.mark.parametrize("text, result", [
+    ("x^3\t- 3*x*y^2", "x^3 - 3*x*y^2"),
+    ("x^3\n-\n3*x*y^2\n", "x^3 - 3*x*y^2"),
+    ("\x0bx*y\x0b", "x*y"),
+    ("x\x1c*\x1cy", "x*y"),
+    ("x*y\x1f", "x*y"),
+    ("x^2\xa0-\xa0y^2", "x^2 - y^2"),
+    ("x\u2003*\u3000y", "x*y"),
+    ("x^2\u200b- y^2", "trailing input at '\\u200b'"),
+    ("x\x85y", "trailing input at 'y'"),
+    (" \t\n\x0b\x0c\r", "empty input"),
+    # Arabic-Indic digits are digits
+    ("x^٣ - ٣*x*y^٢", "x^3 - 3*x*y^2"),
+    ("١٢*x*y", "12*x*y"),
+    ("x^2 - y^٢\t\n", "x^2 - y^2"),
+    ("(x\n+\ty)^٢", "x^2 + 2*x*y + y^2"),
+    ("3/٤*x^2 - y^2", "3/4*x^2 - y^2"),
+    ("x^1٠2 - y^12", "exponent 102 is above the limit of 100"),
+])
+def test_parse_unicode_whitespace_and_digits(text, result):
+    # every Unicode whitespace character separates tokens, any other
+    # character is a token of its own, and a run of Unicode digits is a numeral
+    try:
+        got = format_form(parse_form(text))
+    except ParseError as exc:
+        got = str(exc)
+    assert got == result
+
+
 def test_zero_form_keeps_its_degree():
     for text in ("0*x^3", "(x - x)*y^2", "0*x^3 + 0", "x^2*y - y*x^2"):
         f = parse_form(text)

@@ -1,10 +1,12 @@
 """Verification suite plumbing: reports, determinism, range validation."""
 
 import functools
+from fractions import Fraction
 
 import pytest
 
 from hypforms import verify
+from hypforms.certify import Certificate, hessian
 from hypforms.verify import (
     DEFAULT_SEED,
     SUITE_NAMES,
@@ -97,3 +99,40 @@ def test_default_seed_is_stable_constant():
 def test_lemma1_range_validation():
     with pytest.raises(ValueError):
         suite_lemma1(1)
+
+
+def _non_hyperbolic_polar(f):
+    return Certificate("not_hyperbolic", "polar", f.degree)
+
+
+@pytest.mark.parametrize("fakes, suite, kw, want", [
+    ({"is_nonpositive_on_unit_interval": lambda p, strict: False}, "lemmas", {"n_max": 11},
+     {"lemmas/quartic-bound/": "NOT strictly negative",
+      "lemmas/cubic-bound/": "NOT strictly negative",
+      "lemmas/middle-block/": "POSITIVE somewhere"}),
+    ({"hessian": lambda f: Fraction(2) * hessian(f)}, "hessian_expansion", {"n_max": 3},
+     {"hessian_expansion/exact/": "mismatch"}),
+    ({"is_hyperbolic_polar": _non_hyperbolic_polar,
+      "hess_linear_product": lambda line, form: hessian(form)}, "equivalence", {"d_max": 3},
+     {"equivalence/family/": "hyperbolic != not_hyperbolic",
+      "equivalence/random[": "verdicts disagree",
+      "equivalence/line-product-identity[": "differ"}),
+    ({"zeros_vs_critical_points": lambda f: (2, 4)}, "winding", {"d_max": 3},
+     {"winding/zeros-vs-critical/": "2 != 4"}),
+    ({"table1": lambda d_max: []}, "obs_arnold", {"d_max": 9},
+     {"obs_arnold/covered/": "missing"}),
+], ids=["lemmas", "hessian_expansion", "equivalence", "winding", "obs_arnold"])
+def test_failing_cases_report_what_was_computed(monkeypatch, fakes, suite, kw, want):
+    # each case that repeats its claim on success names the computed
+    # outcome on failure; the deciders it reads are replaced by failing ones
+    for name, fake in fakes.items():
+        monkeypatch.setattr(verify, name, fake)
+    report = run_suite(suite, **kw)[0]
+    for prefix, got in want.items():
+        cases = [c for c in report.cases if c["id"].startswith(prefix)]
+        failed = [c for c in cases if not c["pass"]]
+        assert failed and all(c["got"] == got for c in failed)
+        if prefix != "equivalence/random[":
+            # a random form that the Hessian route rejects passes: the fake
+            # polar route rejects it too
+            assert failed == cases
