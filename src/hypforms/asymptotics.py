@@ -20,6 +20,7 @@ from .classify import (
     _MAX_DEPTH, RefinementError, _second_partials_float, count_real_linear_factors,
 )
 from .core import BinaryForm, Rat, second_partials
+from .families import even_pad
 
 
 @dataclass(frozen=True)
@@ -227,8 +228,8 @@ def integrate_curve(
         raise ValueError("seed must differ from the origin")
     if field_choice not in ("F1", "F2"):
         raise ValueError("field_choice must be 'F1' or 'F2'")
-    if step <= 0.0 or max_len <= 0.0:
-        raise ValueError("step and max_len must be positive")
+    if not all(0.0 < v < math.inf for v in (step, max_len, viewport)):
+        raise ValueError("step, max_len and viewport must be finite and positive")
     at = _second_partials_float(f)
     min_dot = math.cos(math.pi / 4.0)  # consecutive directions turn by under 45 degrees
 
@@ -296,13 +297,10 @@ def integrate_curve(
 
 def _even_power_sum_exponent(q: BinaryForm) -> int:
     # Recognize x^(2n) + y^(2n); return n, else raise.
-    d = q.degree
-    if d < 2 or d % 2 != 0:
+    n = q.degree // 2
+    if n < 1 or q != even_pad(n):
         raise ValueError("padding factor must be x^(2n) + y^(2n) with n >= 1")
-    want = BinaryForm.monomial(d, 0) + BinaryForm.monomial(d, d)
-    if q != want:
-        raise ValueError("padding factor must be x^(2n) + y^(2n) with n >= 1")
-    return d // 2
+    return n
 
 
 def _validate_pair(p: BinaryForm, q: BinaryForm) -> int:
@@ -404,10 +402,11 @@ def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
 
 
 _FIELD_COLORS = {"F1": "#1f77b4", "F2": "#d62728"}
+SVG_SIZE = 640  # width and height of the SVG canvas, in pixels
 
 
-def _svg_path(points, viewport: float, size: int) -> str:
-    scale = size / (2.0 * viewport)
+def _svg_path(points, viewport: float) -> str:
+    scale = SVG_SIZE / (2.0 * viewport)
     coords = []
     stride = max(1, len(points) // 800)
     sampled = list(points[::stride])
@@ -418,25 +417,23 @@ def _svg_path(points, viewport: float, size: int) -> str:
     return "M " + " L ".join(coords)
 
 
-def polylines_to_svg(
-    curves: list[CurvePolyline], viewport: float = 2.0, size: int = 640
-) -> str:
+def polylines_to_svg(curves: list[CurvePolyline], viewport: float = 2.0) -> str:
     """Deterministic SVG document with one path per polyline; paths carry
     their seed and field label as data attributes and are colored by field."""
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<line x1="0" y1="{size / 2:.1f}" x2="{size}" y2="{size / 2:.1f}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
+        f'<line x1="0" y1="{SVG_SIZE / 2:.1f}" x2="{SVG_SIZE}" y2="{SVG_SIZE / 2:.1f}" '
         'stroke="#dddddd" stroke-width="1"/>',
-        f'<line x1="{size / 2:.1f}" y1="0" x2="{size / 2:.1f}" y2="{size}" '
+        f'<line x1="{SVG_SIZE / 2:.1f}" y1="0" x2="{SVG_SIZE / 2:.1f}" y2="{SVG_SIZE}" '
         'stroke="#dddddd" stroke-width="1"/>',
     ]
     for curve in curves:
         color = _FIELD_COLORS[curve.field_choice]
         seed_attr = f"{curve.seed[0]!r},{curve.seed[1]!r}"
         parts.append(
-            f'<path d="{_svg_path(curve.points, viewport, size)}" fill="none" '
+            f'<path d="{_svg_path(curve.points, viewport)}" fill="none" '
             f'stroke="{color}" stroke-width="1" data-seed="{seed_attr}" '
             f'data-field="{curve.field_choice}"/>'
         )

@@ -61,10 +61,7 @@ def _rem_signed(a: list[int], b: list[int]) -> list[int]:
     lead = b[-1]
     scale, sign = abs(lead), (lead > 0) - (lead < 0)
     r = list(a)
-    while len(r) >= len(b) and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
+    while len(r) >= len(b):
         shift = len(r) - len(b)
         top = sign * r[-1]
         # cross-multiply by |lead| instead of dividing: each step is a
@@ -138,8 +135,6 @@ def _sign_at(p: list[int], t: Fraction) -> int:
 
 
 def _sign_at_inf(p: list[int], positive: bool) -> int:
-    if not p:
-        return 0
     s = (p[-1] > 0) - (p[-1] < 0)
     if positive or (len(p) - 1) % 2 == 0:
         return s
@@ -317,10 +312,10 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
 def _root_witness(ints: list[int], chain: list[list[int]]) -> tuple[Rat, Rat] | None:
     bound = _cauchy_bound(chain[0])
     for a, b in _isolate(chain, -bound, bound):
-        # odd multiplicity forces a sign change, so an endpoint value >= 0
-        # exists unless the single root sits exactly at b
-        if _sign_at(ints, a) >= 0:
-            return (Fraction(1), a)
+        # h(1, t) is negative at both ends of the line, and the walk is
+        # ascending and returns at the first sign change, so h < 0 at every
+        # left end a it reaches: a root of odd multiplicity, or one that
+        # sits exactly at b, gives h >= 0 at b
         if _sign_at(ints, b) >= 0:
             return (Fraction(1), b)
         # both ends negative: an even-multiplicity touch of zero strictly
@@ -460,6 +455,4 @@ def linear_extension_is_hyperbolic(l: LinearForm, f: BinaryForm) -> bool:
     a*f_y - b*f_x.  Divisibility is read off at the root direction of l."""
     require_hyperbolic(f)
     g = l.a * f.partial_y() - l.b * f.partial_x()
-    if g.is_zero():
-        return False
     return g.eval(l.b, -l.a) != 0

@@ -31,9 +31,10 @@ coefficient numerator or denominator, of more than MAX_COEFF_DIGITS = 4300
 digits, and parentheses nested more than MAX_NESTING = 100 levels deep; each
 is rejected before the form is built.
 
-Reports are JSON on stdout; progress summaries go to stderr.  All output is
-deterministic for fixed flags; random corpora take an explicit --seed that is
-echoed inside the report.
+Reports are JSON on stdout; progress summaries, and a FAIL line for each
+failed suite case, go to stderr.  All output is deterministic for fixed
+flags; random corpora take an explicit --seed that is echoed inside the
+report.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .classify import RefinementError, admissible_indices, classify_form
 from .core import BinaryForm, NotHyperbolicError, ParseError, parse_form, format_form
 from .families import FamilyMember, arnold, f_family, g_even, p_factorized, representatives
 from .asymptotics import CurvePolyline, integrate_curve, polylines_to_csv, polylines_to_svg
-from .verify import SUITE_NAMES, run_suite, suite_lemma1
+from .verify import SUITE_NAMES, SuiteReport, run_suite, suite_lemma1
 
 
 def _cert_dict(cert: Certificate) -> dict:
@@ -178,13 +179,9 @@ def cmd_family(kind: str, params: list[int], even: bool) -> int:
     return 0
 
 
-def cmd_verify(suite: str, d_max: int | None, n_max: int | None, seed: int | None) -> int:
-    """Run one verification suite (or all) and emit the JSON reports."""
-    try:
-        reports = run_suite(suite, d_max=d_max, n_max=n_max, seed=seed)
-    except ValueError as exc:
-        print(f"bad verify arguments: {exc}", file=sys.stderr)
-        return 2
+def _summarize(reports: list[SuiteReport]) -> int:
+    """Print each report's summary line and the FAIL line of each failed case
+    on stderr; return the exit code, 0 iff every case passed."""
     for r in reports:
         print(r.summary_line(), file=sys.stderr)
         for case in r.cases:
@@ -194,8 +191,19 @@ def cmd_verify(suite: str, d_max: int | None, n_max: int | None, seed: int | Non
                     f"got {case['got']!r}",
                     file=sys.stderr,
                 )
-    _emit([r.to_dict() for r in reports])
     return 0 if all(r.ok for r in reports) else 1
+
+
+def cmd_verify(suite: str, d_max: int | None, n_max: int | None, seed: int | None) -> int:
+    """Run one verification suite (or all) and emit the JSON reports."""
+    try:
+        reports = run_suite(suite, d_max=d_max, n_max=n_max, seed=seed)
+    except ValueError as exc:
+        print(f"bad verify arguments: {exc}", file=sys.stderr)
+        return 2
+    code = _summarize(reports)
+    _emit([r.to_dict() for r in reports])
+    return code
 
 
 def cmd_lemma1(n_max: int) -> int:
@@ -205,9 +213,9 @@ def cmd_lemma1(n_max: int) -> int:
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return 2
-    print(report.summary_line(), file=sys.stderr)
+    code = _summarize([report])
     _emit(report.to_dict())
-    return 0 if report.ok else 1
+    return code
 
 
 def _line_directions(f: BinaryForm) -> list[tuple[float, float]]:
@@ -317,48 +325,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="certify hyperbolicity by both methods")
     p_check.add_argument("poly", help='polynomial text, e.g. "x^3 - x*y^2"')
+    p_check.set_defaults(run=lambda a: cmd_check(a.poly))
 
     p_index = sub.add_parser("index", help="winding index and component data")
     p_index.add_argument("poly", help="polynomial text")
+    p_index.set_defaults(run=lambda a: cmd_index(a.poly))
 
     p_family = sub.add_parser("family", help="emit family members as JSON lines")
     p_family.add_argument("kind", choices=("arnold", "pfact", "g", "f", "reps"))
     p_family.add_argument("params", type=int, nargs="*", help="integer parameters")
     p_family.add_argument("--even", action="store_true",
                           help="even-degree variant (pfact and f kinds)")
+    p_family.set_defaults(run=lambda a: cmd_family(a.kind, a.params, a.even))
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--d-max", type=int, default=None)
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.set_defaults(run=lambda a: cmd_verify(a.suite, a.d_max, a.n_max, a.seed))
 
     p_lemma1 = sub.add_parser("lemma1", help="bump-polynomial critical point check")
     p_lemma1.add_argument("--n-max", type=int, default=40)
+    p_lemma1.set_defaults(run=lambda a: cmd_lemma1(a.n_max))
 
     p_curves = sub.add_parser("curves", help="asymptotic-curve figure (SVG/CSV)")
     p_curves.add_argument("--poly", required=True, help="polynomial text")
     p_curves.add_argument("--out", required=True, help="output path (.svg or .csv)")
     p_curves.add_argument("--step", type=float, default=1e-3)
     p_curves.add_argument("--viewport", type=float, default=2.0)
+    p_curves.set_defaults(run=lambda a: cmd_curves(a.poly, a.out, a.step, a.viewport))
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args.poly)
-    if args.command == "index":
-        return cmd_index(args.poly)
-    if args.command == "family":
-        return cmd_family(args.kind, args.params, args.even)
-    if args.command == "verify":
-        return cmd_verify(args.suite, args.d_max, args.n_max, args.seed)
-    if args.command == "lemma1":
-        return cmd_lemma1(args.n_max)
-    if args.command == "curves":
-        return cmd_curves(args.poly, args.out, args.step, args.viewport)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.run(args)
 
 
 if __name__ == "__main__":

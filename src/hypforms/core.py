@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 # Coefficient field: arbitrary-precision rationals in lowest terms with
@@ -242,11 +241,11 @@ class BinaryForm:
         return BinaryForm(degree, (Fraction(0),) * (degree + 1))
 
     @staticmethod
-    def monomial(degree: int, y_power: int, coeff=1) -> BinaryForm:
+    def monomial(degree: int, y_power: int) -> BinaryForm:
         if not 0 <= y_power <= degree:
             raise ValueError("y_power out of range")
         cs = [Fraction(0)] * (degree + 1)
-        cs[y_power] = _rat(coeff)
+        cs[y_power] = Fraction(1)
         return BinaryForm(degree, tuple(cs))
 
     def is_zero(self) -> bool:
@@ -354,9 +353,10 @@ def rotational_derivative(f: BinaryForm) -> BinaryForm:
     return BinaryForm(f.degree, _over(_rot(c), den))
 
 
-@lru_cache(maxsize=512)
 def second_partials(f: BinaryForm) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
-    """(f_xx, f_xy, f_yy)."""
+    """(f_xx, f_xy, f_yy), built anew on each call.  A caller that evaluates
+    them at many points builds them once and keeps them, as
+    classify._second_partials_float does."""
     fx = f.partial_x()
     fy = f.partial_y()
     return fx.partial_x(), fx.partial_y(), fy.partial_y()

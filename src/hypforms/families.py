@@ -29,6 +29,11 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree {d} is above the limit of {MAX_DEGREE}")
 
 
+def even_pad(n: int) -> BinaryForm:
+    """x^(2n) + y^(2n), the padding factor of the g and f families."""
+    return BinaryForm.monomial(2 * n, 0) + BinaryForm.monomial(2 * n, 2 * n)
+
+
 def _sum_of_squares_power(k: int) -> BinaryForm:
     return BinaryForm(2, (Fraction(1), Fraction(0), Fraction(1))) ** k
 
@@ -86,8 +91,7 @@ def g_even(n: int) -> FamilyMember:
     if n < 2:
         raise ValueError("g family needs n >= 2")
     _check_degree(2 * n + 2)
-    q = BinaryForm.monomial(2 * n, 0) + BinaryForm.monomial(2 * n, 2 * n)
-    form = BinaryForm(2, (Fraction(1), Fraction(0), Fraction(-1))) * q
+    form = BinaryForm(2, (Fraction(1), Fraction(0), Fraction(-1))) * even_pad(n)
     return FamilyMember(form, "g", (n,), 0, f"g_{2 * n + 2}")
 
 
@@ -99,9 +103,8 @@ def f_family(n: int, k: int, even: bool = False) -> FamilyMember:
     if k < 1:
         raise ValueError("f family needs k >= 1")
     _check_degree(2 * n + 2 * k + (2 if even else 1))
-    q = BinaryForm.monomial(2 * n, 0) + BinaryForm.monomial(2 * n, 2 * n)
     base = _line_product(k, even)
-    form = q * base
+    form = even_pad(n) * base
     j = 2 if even else 1
     d = form.degree
     return FamilyMember(form, "f", (n, k, 1 if even else 0), 2 - (2 * k + j),

@@ -39,6 +39,7 @@ from .classify import (
 from .core import MAX_DEGREE, BinaryForm, LinearForm, Rat, UniPoly, parse_form
 from .families import (
     FamilyMember,
+    even_pad,
     f_family,
     g_even,
     p_factorized,
@@ -442,7 +443,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
             ok = agree
             if not h.is_hyperbolic and h.witness is not None:
                 wx, wy = h.witness
-                good = hessian(form).eval(wx, wy) >= 0 if form.degree >= 2 else True
+                good = hessian(form).eval(wx, wy) >= 0
                 ok = ok and good
                 details.append(f"hessian witness {'valid' if good else 'INVALID'}")
             if not p.is_hyperbolic and p.witness is not None:
@@ -592,9 +593,6 @@ def suite_poincare(d_max: int = 12) -> SuiteReport:
 
 
 def _isotopy_pairs() -> list[tuple[str, BinaryForm, BinaryForm, int]]:
-    def q_form(n: int) -> BinaryForm:
-        return BinaryForm.monomial(2 * n, 0) + BinaryForm.monomial(2 * n, 2 * n)
-
     out = []
     for k, even, n in (
         (1, False, 2),
@@ -607,7 +605,7 @@ def _isotopy_pairs() -> list[tuple[str, BinaryForm, BinaryForm, int]]:
         (3, False, 1),
     ):
         p = p_factorized(k, even=even).form
-        out.append((f"degP={p.degree},n={n}", p, q_form(n), n))
+        out.append((f"degP={p.degree},n={n}", p, even_pad(n), n))
     return out
 
 
@@ -646,8 +644,7 @@ def suite_isotopies() -> SuiteReport:
 
     def boundary():
         p = p_factorized(1).form
-        q = BinaryForm.monomial(2, 0) + BinaryForm.monomial(2, 2)
-        checks = {c.kind: c for c in check_isotopies(p, q)}
+        checks = {c.kind: c for c in check_isotopies(p, even_pad(1))}
         pos = Fraction(1) not in checks["psi"].failed_ts  # psi(1) is the cross-term form
         return _exact(
             "discriminant positive; phi fails only at t=1; psi true; gamma_t true",
@@ -660,9 +657,8 @@ def suite_isotopies() -> SuiteReport:
 
     def repeated():
         p = parse_form("x^2*(x^2 - y^2)")
-        q = BinaryForm.monomial(2, 0) + BinaryForm.monomial(2, 2)
         try:
-            check_isotopies(p, q)
+            check_isotopies(p, even_pad(1))
             return _exact("rejected (repeated factor)", "accepted")
         except ValueError:
             return _exact("rejected (repeated factor)", "rejected (repeated factor)")

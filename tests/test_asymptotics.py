@@ -222,6 +222,10 @@ def test_integrate_validates_arguments():
         integrate_curve(F3, (1.0, 0.0), field_choice="F3")
     with pytest.raises(ValueError):
         integrate_curve(F3, (1.0, 0.0), step=-1.0)
+    for bad in ({"step": math.nan}, {"step": math.inf}, {"max_len": math.inf},
+                {"viewport": math.nan}, {"viewport": 0.0}):
+        with pytest.raises(ValueError, match="finite and positive"):
+            integrate_curve(F3, (1.0, 0.0), **bad)
 
 
 def test_fields_are_transverse_at_seed():

@@ -204,6 +204,13 @@ def test_sturm_handles_repeated_roots():
     assert sturm_count(p) == 2
 
 
+def test_divexact_rejects_an_inexact_division():
+    with pytest.raises(ValueError, match="inexact"):
+        certify._divexact([1, 0, 1], [1, 2])  # a quotient coefficient 1/2
+    with pytest.raises(ValueError, match="inexact"):
+        certify._divexact([1, 0, 1], [1, 1])  # t^2 + 1 = (t + 1)(t - 1) + 2
+
+
 def test_sturm_chain_endpoints():
     chain = certify._sturm([-2, 0, 1])  # t^2 - 2
     ps = chain[0]

@@ -1,5 +1,6 @@
 """Index computation, component bookkeeping, and numeric winding checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from hypforms import (
     winding_gamma_numeric,
     zeros_vs_critical_points,
 )
-from hypforms.classify import RefinementError, _second_partials_float
+from hypforms import classify
+from hypforms.classify import RefinementError, _second_partials_float, _winding
 
 X, Y = sympy.symbols("x y")
 
@@ -113,6 +115,29 @@ def test_winding_matches_index_on_small_forms():
         idx = index_gamma(f)
         assert winding_gamma_numeric(f) == idx
         assert winding_gamma_numeric(f) == 2 + winding_alpha_numeric(f)
+
+
+def test_winding_of_a_curve_that_jumps_by_half_a_turn_exhausts_the_bisection():
+    def vec(t):
+        return (1.0, 0.0) if t < 1.0 else (-1.0, 0.0)
+    with pytest.raises(RefinementError, match="bisection budget exhausted"):
+        _winding(vec, 3)
+
+
+def test_winding_of_a_curve_that_does_not_close_fails_the_residual():
+    # half a revolution in small steps, then back to the start at t = 2*pi
+    def vec(t):
+        return (math.cos(t / 2.0), math.sin(t / 2.0))
+    with pytest.raises(RefinementError, match="residual too large"):
+        _winding(vec, 3)
+
+
+def test_alpha_winding_rejects_a_sample_outside_the_hyperbolicity_cone(monkeypatch):
+    # with zero angular derivatives the jet is (f, 0, 0), outside the cone
+    monkeypatch.setattr(classify, "rotational_derivative",
+                        lambda f: BinaryForm.zero(f.degree))
+    with pytest.raises(RefinementError, match="left the hyperbolicity cone"):
+        winding_alpha_numeric(parse_form("x^3 - x*y^2"))
 
 
 def test_winding_rejects_non_hyperbolic():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, figure emission."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -161,6 +162,16 @@ def test_family_bad_params(capsys):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("f", "1"), "f takes two parameters: n and k"),
+    (("g", "1", "2"), "g takes one parameter: n"),
+])
+def test_family_parameter_count_is_checked(capsys, argv, message):
+    code, out, err = run(capsys, "family", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"bad family parameters: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("pfact", "50"), ("pfact", "50", "--even"), ("g", "50"), ("f", "1", "49"),
     ("reps", "101"), ("arnold", "101", "11"),
@@ -233,6 +244,16 @@ def test_verify_seed_is_echoed(capsys):
     assert any("seed=123" in i for i in ids)
 
 
+def test_verify_prints_a_fail_line_per_failed_case(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "index_gamma", lambda f: 5)
+    code, out, err = run(capsys, "verify", "table1", "--d-max", "3")
+    assert code == 1
+    assert json.loads(out)[0]["failed"] == 1
+    assert err.splitlines()[1:] == [
+        "  FAIL table1/D=03/P_3: expected 'hyperbolic, index -1', "
+        "got 'hyperbolic, index 5'"]
+
+
 # ------------------------------------------------------------------ lemma1
 
 
@@ -242,6 +263,19 @@ def test_lemma1_report(capsys):
     doc = json.loads(out)
     assert doc["suite"] == "lemma1"
     assert doc["passed"] == 4  # n = 2..5
+
+
+def test_lemma1_prints_a_fail_line_per_failed_case(capsys, monkeypatch):
+    # each derivative has the root 1, so the case reads one root fewer
+    monkeypatch.setattr(verify, "sturm_count", lambda p, a, b: 1)
+    code, out, err = run(capsys, "lemma1", "--n-max", "3")
+    assert code == 1
+    assert json.loads(out)["failed"] == 2
+    fails = err.splitlines()[1:]
+    assert [line.split(":")[0] for line in fails] == [
+        "  FAIL lemma1/critical-point/n=02", "  FAIL lemma1/critical-point/n=03"]
+    assert all("got 'derivative factors exactly; 0 interior critical point;" in line
+               for line in fails)
 
 
 def test_lemma1_n_max_is_bounded_by_the_degree_limit(capsys):
@@ -593,3 +627,11 @@ def test_cli_fuzz_ends_in_an_answer_or_a_bad_input_exit(argv):
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
     assert elapsed < FUZZ_SECONDS, (argv, elapsed)
+
+
+def test_every_subcommand_sets_the_function_that_runs_it():
+    (subparsers,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == {"check", "index", "family", "verify", "lemma1", "curves"}
+    for name, parser in subparsers.choices.items():
+        assert callable(parser.get_default("run")), name

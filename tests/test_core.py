@@ -71,6 +71,24 @@ def test_parse_rejects_inhomogeneous():
         parse_form("x^2 + y")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(x^2 y^2", "missing closing parenthesis"),
+    ("1/0*x^2", "denominator must be a positive integer"),
+    ("1/x*x", "denominator must be a positive integer"),
+    ("2: 1, 0", "coefficient vector for degree 2 needs 3 entries"),
+])
+def test_parse_error_names_the_fault(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_form(text)
+
+
+def test_unipoly_text():
+    assert str(UniPoly((Fraction(1), Fraction(0), Fraction(-3)))) == "-3*t^2 + 1"
+    assert str(UniPoly((Fraction(0), Fraction(-1)))) == "-t"
+    assert str(UniPoly((Fraction(-1, 2),))) == "-1/2"
+    assert str(UniPoly.zero()) == "0"
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "x +", "x^", "z^2", "(x", "x^-2", "x^2 * * y"):
         with pytest.raises(ParseError):

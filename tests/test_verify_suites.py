@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypforms import verify
+from hypforms.asymptotics import ISOTOPY_GRID, IsotopyCheck
 from hypforms.certify import Certificate, hessian
 from hypforms.verify import (
     DEFAULT_SEED,
@@ -136,3 +137,30 @@ def test_failing_cases_report_what_was_computed(monkeypatch, fakes, suite, kw, w
             # a random form that the Hessian route rejects passes: the fake
             # polar route rejects it too
             assert failed == cases
+
+
+def test_a_case_that_raises_reports_the_error(monkeypatch):
+    def broken(f):
+        raise RuntimeError("no index")
+    monkeypatch.setattr(verify, "index_gamma", broken)
+    report = run_suite("table1", d_max=3)[0]
+    assert report.cases and not report.ok
+    for c in report.cases:
+        assert c["expected"] == "case evaluates without error"
+        assert c["got"] == "RuntimeError: no index"
+
+
+def test_table1_names_a_member_that_is_not_hyperbolic(monkeypatch):
+    monkeypatch.setattr(verify, "is_hyperbolic",
+                        lambda f: Certificate("not_hyperbolic", "hessian", f.degree))
+    report = run_suite("table1", d_max=3)[0]
+    assert [(c["expected"], c["got"]) for c in report.cases] == [
+        ("hyperbolic, index -1", "not_hyperbolic")]
+
+
+def test_isotopies_names_a_repeated_factor_that_is_accepted(monkeypatch):
+    monkeypatch.setattr(verify, "check_isotopies", lambda p, q: [
+        IsotopyCheck(kind, ISOTOPY_GRID, True) for kind in ("phi", "psi", "gamma_t")])
+    report = run_suite("isotopies")[0]
+    (case,) = [c for c in report.cases if c["id"] == "isotopies/repeated-factor rejection"]
+    assert (case["got"], case["pass"]) == ("accepted", False)
