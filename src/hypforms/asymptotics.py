@@ -202,6 +202,10 @@ def _unit(u: float, v: float) -> tuple[float, float]:
     return u / n, v / n
 
 
+# The most steps an integral curve takes in one sense from its seed.
+MAX_ARM_STEPS = 100_000
+
+
 def integrate_curve(
     f: BinaryForm,
     seed: tuple[float, float],
@@ -220,7 +224,8 @@ def integrate_curve(
     around the origin (the only singular point), or at arc length
     max_len / 2.  Every vertex's outgoing segment points along a null
     direction evaluated at that vertex, so the per-vertex form residual is
-    at rounding level.
+    at rounding level.  An arm of more than MAX_ARM_STEPS steps
+    (max_len / 2 / step) is a ValueError.
     """
     require_hyperbolic(f)
     sx, sy = float(seed[0]), float(seed[1])
@@ -230,6 +235,8 @@ def integrate_curve(
         raise ValueError("field_choice must be 'F1' or 'F2'")
     if not all(0.0 < v < math.inf for v in (step, max_len, viewport)):
         raise ValueError("step, max_len and viewport must be finite and positive")
+    if max_len / 2.0 / step > MAX_ARM_STEPS:
+        raise ValueError(f"max_len / 2 / step is above the limit of {MAX_ARM_STEPS} steps")
     at = _second_partials_float(f)
     min_dot = math.cos(math.pi / 4.0)  # consecutive directions turn by under 45 degrees
 

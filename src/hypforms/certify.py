@@ -17,7 +17,11 @@ reads one sign of p in each gap between the roots isolated there; the
 strict bound p < 0 fails at the first of them.
 Fraction appears only where forms and polynomials enter and leave.
 Negativity of an even form reduces by homogeneity to one chart plus one
-extra point.
+extra point.  There one accept test comes before the sequence: bisection
+by Descartes' rule of signs, on each half-line, from a power-of-two
+Fujiwara root bound.  It proves most negative forms at a small part of the
+cost of the sequence, and only accepts; a form it cannot prove goes the
+Sturm way, which decides every rejection and its witness.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, inf, nextafter
+from operator import lshift, neg
 from typing import Iterator
 
 from .core import (
@@ -281,6 +287,100 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Descartes accept test
+#
+# Vincent-Collins-Akritas bisection (Collins and Akritas, SYMSAC 1976;
+# Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 2004) on integer
+# lists.  A node Q of degree n is q on one dyadic interval of (0, 2^k),
+# mapped onto (0, 1) and scaled by a power of two.  The sign variations of
+# (x+1)^n Q(1/(x+1)) bound the number of roots of Q in (0, 1), so none
+# proves there are none; a node with variations splits into 2^n Q(x/2) and
+# its shift by 1, whose constant term is the sign of q at the midpoint.
+# ---------------------------------------------------------------------------
+
+
+def _fujiwara_exponent(q: list[int]) -> int:
+    """k with every root of q inside |z| < 2^k: Fujiwara's bound
+    2 * max_i |q[n-i] / q[n]|^(1/i), rounded up to a power of two from bit
+    lengths.  The i-th roots keep it near the largest root when the leading
+    coefficient is small; Cauchy's bound 1 + max |q[i] / q[n]| reaches
+    about 2^234 on representatives with x and y swapped, and the bisection
+    below then costs more than the Sturm sequence."""
+    top = q[-1].bit_length()
+    return 1 + max(-((top - 1 - c.bit_length()) // i)
+                   for i, c in enumerate(reversed(q[:-1]), 1) if c)
+
+
+def _shift_one(c: list[int]) -> list[int]:
+    """c(x + 1), by n passes of running sums; each pass fixes one more
+    coefficient, lowest first."""
+    b = c[::-1]
+    out = []
+    while b:
+        b = list(accumulate(b))
+        out.append(b.pop())
+    return out
+
+
+def _no_variation(c: list[int]) -> bool:
+    """True when (x+1)^n c(1/(x+1)) has no sign variation, so that c has no
+    root in (0, 1), for c negative at 0 and at 1.
+
+    Its end coefficients are c(1) and c(0), so the count is even: 0 means
+    that no coefficient is positive.  Each running-sum pass of the shift
+    fixes one more coefficient, from the constant term up, and the test
+    stops at the first positive one; once no entry is positive, the later
+    passes, sums of these, add none."""
+    while True:
+        c = list(accumulate(c))
+        if c.pop() > 0:
+            return False
+        if max(c) <= 0:
+            return True
+
+
+def _descartes_negative(q: list[int]) -> bool:
+    """True when bisection proves q < 0 for all t > 0, for q negative at 0
+    and at infinity.  False leaves the decision to the Sturm sequence: it
+    comes at a midpoint where q >= 0, or at a node of depth k + tau that
+    still has variations, tau the bit size of q.
+
+    A node of depth j spans 2^(k-j).  A conjugate pair of an integer
+    quadratic with tau-bit coefficients lies more than 2^(-tau-1) off the
+    real axis (its discriminant is a nonzero integer), so by the one-circle
+    theorem it leaves every node of depth k + tau without variations.  A
+    pair nearer the axis than that, or a real root of even multiplicity at
+    an irrational t, sends the decision to Sturm.  At most n nodes of a
+    depth have variations, since their circles are disjoint and each holds
+    a root, so the walk visits at most 1 + 2n(k + tau) nodes."""
+    if max(q) <= 0:  # no sign variation on (0, infinity)
+        return True
+    # q has variations on (0, infinity), and so nearly always on the
+    # root interval (0, 2^k): the root is split without a test
+    n = len(q) - 1
+    k = _fujiwara_exponent(q)
+    cap = k + max(map(int.bit_length, q))
+    down = range(n, -1, -1)
+    # q(2^k x), times 2^(-k n) when k < 0; a right child is shifted when
+    # it is reached, so a failed midpoint on the left skips its shift
+    stack = [([c << (k * i - min(k, 0) * n) for i, c in enumerate(q)], 0, False)]
+    while stack:
+        node, depth, right = stack.pop()
+        if right:
+            node = _shift_one(node)
+        if depth and _no_variation(node):
+            continue
+        if depth >= cap:
+            return False
+        left = list(map(lshift, node, down))  # 2^n Q(x/2)
+        if sum(left) >= 0:  # q at the midpoint
+            return False
+        stack.append((left, depth + 1, True))
+        stack.append((left, depth + 1, False))
+    return True
+
+
+# ---------------------------------------------------------------------------
 # negativity of even forms
 # ---------------------------------------------------------------------------
 
@@ -292,6 +392,10 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
     rejection a rational witness point with h(witness) >= 0 is returned
     if and only if one exists; None means that every zero of h off the
     origin is an even-order touch on a line of irrational slope.
+
+    Bisection by Descartes' rule accepts h when it proves h(1, t) < 0 on
+    both half-lines; otherwise the Sturm sequence decides, so every
+    rejection and its witness come from that sequence.
     """
     if h.is_zero():
         raise ValueError("negativity test on the zero form")
@@ -303,6 +407,13 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
         return False, (Fraction(1), Fraction(0))
     if ints[-1] >= 0:  # h(0, 1)
         return False, (Fraction(0), Fraction(1))
+    alternated = list(ints)
+    alternated[1::2] = map(neg, ints[1::2])  # h(1, -t)
+    # h(1, 1) and h(1, -1) first, a sum each: many rejections show there
+    # before any bisection
+    if (sum(ints) < 0 and sum(alternated) < 0
+            and _descartes_negative(ints) and _descartes_negative(alternated)):
+        return True, None
     chain = _sturm(ints)
     if _count(chain, None, None) == 0:
         return True, None

@@ -50,7 +50,9 @@ from .certify import (
 from .classify import RefinementError, admissible_indices, classify_form
 from .core import BinaryForm, NotHyperbolicError, ParseError, parse_form, format_form
 from .families import FamilyMember, arnold, f_family, g_even, p_factorized, representatives
-from .asymptotics import CurvePolyline, integrate_curve, polylines_to_csv, polylines_to_svg
+from .asymptotics import (
+    MAX_ARM_STEPS, CurvePolyline, integrate_curve, polylines_to_csv, polylines_to_svg,
+)
 from .verify import SUITE_NAMES, SuiteReport, run_suite, suite_lemma1
 
 
@@ -248,7 +250,6 @@ def _figure_seeds(f: BinaryForm, viewport: float) -> list[tuple[float, float]]:
 # half that length, so an arm plans 3 * viewport / step steps (6,000 at the
 # defaults).  cmd_curves rejects a step and viewport past MAX_ARM_STEPS.
 FIGURE_LENGTH = 6.0
-MAX_ARM_STEPS = 100_000
 
 
 def figure_curves(

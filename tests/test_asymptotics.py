@@ -3,6 +3,7 @@ cross-term discriminants, and deformation checks."""
 
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,18 @@ def test_integrate_validates_arguments():
                 {"viewport": math.nan}, {"viewport": 0.0}):
         with pytest.raises(ValueError, match="finite and positive"):
             integrate_curve(F3, (1.0, 0.0), **bad)
+
+
+def test_integrate_rejects_an_arm_above_the_step_limit():
+    # 5e9 planned steps per arm: refused before the first step
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="above the limit of 100000 steps"):
+        integrate_curve(F3, (0.9, 0.3), step=1e-9)
+    assert time.perf_counter() - t0 < 1.0
+    # exactly the limit is allowed; the viewport ends the arms early
+    c = integrate_curve(F3, (0.9, 0.3), step=0.5, max_len=float(asymptotics.MAX_ARM_STEPS),
+                        viewport=1.0)
+    assert len(c.points) > 1
 
 
 def test_fields_are_transverse_at_seed():

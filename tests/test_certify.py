@@ -29,6 +29,7 @@ from hypforms import (
     is_negative_form,
     is_nonpositive_on_unit_interval,
     linear_extension_is_hyperbolic,
+    p_factorized,
     parse_form,
     polar_form,
     representatives,
@@ -576,6 +577,87 @@ def test_repeated_line_rejections_carry_the_touch_as_witness(d, k):
         assert target.eval(*cert.witness) == 0
         ps = certify._sturm(certify._int_coeffs(target.coeffs))[0]
         assert abs(ps[-1]) > 10**9
+
+
+# ------------------------------------------------------ Descartes accept test
+
+
+def descartes_accepts(ints: list[int]) -> bool:
+    """The accept test of is_negative_form on h(1, t), both half-lines."""
+    alternated = [-c if i % 2 else c for i, c in enumerate(ints)]
+    return certify._descartes_negative(ints) and certify._descartes_negative(alternated)
+
+
+def sturm_accepts(ints: list[int]) -> bool:
+    return certify._count(certify._sturm(ints), None, None) == 0
+
+
+def test_descartes_and_sturm_agree_on_seeded_targets():
+    # Hessian and polar targets: every representative with D <= 41, seeded
+    # random forms, and l^2 * g forms whose h(1, t) has a double root at the
+    # dyadic t = 1/s, which the bisection meets as a midpoint.  Sturm runs on
+    # the representatives up to D = 21; above that its verdict is their
+    # known one, hyperbolic, at a cost of about 40 s here.
+    rng = random.Random(1212)
+    reps = [m.form for d in range(3, 42) if d != 4 for m in representatives(d)]
+    rand = [f for f in (random_form(rng, rng.randint(2, 12)) for _ in range(1500))
+            if not f.is_zero()]
+    dyadic = [LinearForm(Fraction(1), Fraction(-s)).to_form() ** 2 * m.form
+              for s in (1, 2) for d in range(3, 12) if d != 4 for m in representatives(d)]
+    bisected = rejected = 0
+    for forms, known in ((reps, True), (rand, None), (dyadic, False)):
+        for f in forms:
+            for target in (hessian(f), polar_form(f)):
+                if target.is_zero():
+                    continue
+                ints = certify._int_coeffs(target.coeffs)
+                if ints[0] >= 0 or ints[-1] >= 0:
+                    assert known is not True
+                    continue
+                bisected += 1
+                want = sturm_accepts(ints) if f.degree <= 21 or known is None else known
+                assert known is None or want == known
+                got = descartes_accepts(ints)
+                assert got == want, (str(f), target.degree)
+                rejected += not got
+    assert bisected >= 2000 and rejected >= 100
+
+
+def test_conjugate_pair_near_the_axis_falls_back_to_sturm(monkeypatch):
+    # h(1, t) = -((a t - 1)^2 + t^12) has no real root; a pair of roots lies
+    # about a^-7 (near 2^-56) off the axis at t = 1/a, far nearer than a
+    # quadratic with 16-bit coefficients can put one, so the bisection stops
+    # at its depth cap (every midpoint is negative) and Sturm accepts
+    a = 255
+    h = Fraction(-1) * (parse_form(f"x^10*(x - {a}*y)^2") + parse_form("y^12"))
+    ints = certify._int_coeffs(h.coeffs)
+    assert ints[1] == 2 * a and max(map(int.bit_length, ints)) == 16
+    assert sympy_slice(h).count_roots() == 0
+    assert not certify._descartes_negative(ints)
+    chains = []
+    inner = certify._sturm
+
+    def spy(p):
+        chains.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(certify, "_sturm", spy)
+    assert is_negative_form(h) == (True, None)
+    assert chains == [ints]
+
+
+def test_accepting_pfact_81_builds_no_sturm_chain(monkeypatch):
+    # D = 81: both targets are accepted by bisection alone
+    def no_chain(p):
+        raise AssertionError("a Sturm chain was built")
+
+    monkeypatch.setattr(certify, "_sturm", no_chain)
+    certify._certify.cache_clear()
+    f = p_factorized(40).form
+    assert f.degree == 81
+    assert is_hyperbolic(f).is_hyperbolic
+    assert is_hyperbolic_polar(f).is_hyperbolic
+    certify._certify.cache_clear()
 
 
 def int_poly(factors) -> list[int]:

@@ -218,6 +218,7 @@ def test_verify_range_violation(capsys):
     (("all", "--n-max", "100"), "n_max must be <= 49"),
     (("all", "--n-max", "1"), "n_max must be >= 11"),
     (("all", "--d-max", "17"), "d_max must be within 3..16"),
+    (("conjecture", "--d-max", "42"), "d_max must be within 3..41"),
     (("lemmas", "--n-max", "50"), "n_max must be <= 49"),
 ])
 def test_verify_ranges_are_checked_before_any_suite_runs(capsys, monkeypatch, argv, message):
