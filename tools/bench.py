@@ -1,20 +1,21 @@
 """Run the benchmark on checkouts and write the numbers to one JSON file.
 
-    python3 tools/bench.py --out BENCH_N.json --rounds 10 parent=../parent child=.
+    python3 tools/bench.py --out BENCH_N.json parent=../parent child=.
 
 Each NAME=CHECKOUT argument names a checkout of this repository.  The
-script runs that checkout's own perfbench/run.py, unchanged, and keeps the
-JSON object each run prints last.  For the end-to-end metrics it makes
---rounds rounds of --trace 0 runs: each round runs every checkout in turn
-on each workload, and every other round reverses the order of the
-checkouts, so that drift in the speed of the machine falls on all of them
-alike.  For the per-layer metrics it then makes one --trace 1 run per
-checkout and workload.
+script runs that checkout's own perfbench/run.py, unchanged, with seed
+SEED for SECONDS seconds, and keeps the JSON object each run prints last.
+For the end-to-end metrics it makes ROUNDS rounds of --trace 0 runs: each
+round runs every checkout in turn on each workload, and every other round
+reverses the order of the checkouts, so that drift in the speed of the
+machine falls on all of them alike.  Ten rounds give the ten alternated
+pairs that a claimed gain is judged on.  For the per-layer metrics it then
+makes one --trace 1 run per checkout and workload.
 
 The file holds the machine and the Python version, and for each checkout
-its commit, whether its src/ or perfbench/ differ from that commit, a
-sha256 of its src/ tree, every run, and the median and quartiles of each
-metric over its runs.  Compare only entries of one file: they come from
+its commit (null when its src/ or perfbench/ differ from that commit, so
+that the numbers belong to no commit), a sha256 of its src/ tree, every
+run, and the median and quartiles of each metric over its runs.  Compare only entries of one file: they come from
 one machine and one stretch of time.  It uses the standard library only.
 """
 
@@ -33,6 +34,9 @@ from pathlib import Path
 
 WORKLOADS = ("certify", "paper")
 TRACES = (0, 1)
+ROUNDS = 10
+SECONDS = 60.0  # BENCHMARK.json's run_seconds
+SEED = 1
 
 
 def git(checkout: Path, *args: str) -> str | None:
@@ -71,9 +75,9 @@ def machine() -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, trace: int, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_once(checkout: Path, workload: str, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -109,9 +113,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="+", metavar="NAME=CHECKOUT")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=60.0)
-    ap.add_argument("--rounds", type=int, default=1)
     args = ap.parse_args(argv)
 
     named = []
@@ -125,21 +126,20 @@ def main(argv=None) -> int:
     runs = {name: {f"{w}/trace{t}": [] for w in WORKLOADS for t in TRACES}
             for name, _ in named}
     plan = [(r, w, 0, named if r % 2 == 0 else named[::-1])
-            for r in range(args.rounds) for w in WORKLOADS]
-    plan += [(args.rounds, w, 1, named) for w in WORKLOADS]
+            for r in range(ROUNDS) for w in WORKLOADS]
+    plan += [(ROUNDS, w, 1, named) for w in WORKLOADS]
     for r, workload, trace, order in plan:
         for name, checkout in order:
             print(f"round {r + 1}: {name} {workload} --trace {trace}",
                   file=sys.stderr, flush=True)
             runs[name][f"{workload}/trace{trace}"].append(
-                run_once(checkout, workload, trace, args.seed, args.seconds))
+                run_once(checkout, workload, trace))
 
     entries = {}
     for name, checkout in named:
-        commit = git(checkout, "rev-parse", "HEAD")
         status = git(checkout, "status", "--porcelain", "--", "src", "perfbench")
         entries[name] = {
-            "commit": commit,
+            "commit": git(checkout, "rev-parse", "HEAD") if status == "" else None,
             "src_or_perfbench_changed": None if status is None else bool(status),
             "src_sha256": src_digest(checkout),
             "summary": {key: summary(rs) for key, rs in runs[name].items()},
@@ -149,9 +149,9 @@ def main(argv=None) -> int:
         "machine": machine(),
         "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0|1",
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "rounds": args.rounds,
+        "seed": SEED,
+        "seconds": SECONDS,
+        "rounds": ROUNDS,
         "order": "trace 0: rounds alternate the order of the checkouts; trace 1: one run each",
         "entries": entries,
     }
