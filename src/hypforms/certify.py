@@ -5,34 +5,44 @@ second partials is indefinite at every point away from the origin,
 equivalently when f_xx*f_yy - f_xy^2 is negative there.  Everything in
 this module decides signs exactly, on integers: hessian and polar_form run
 on the integer multiple of f that clears its denominators, and every sign
-decision runs one signed primitive remainder sequence of p and p' (content
-stripped at every step).  Its last term is gcd(p, p'), and the sequence
-divided by that gcd is a Sturm sequence of the squarefree part of p, which
-is its first term.  One isolation walk on this sequence serves counting,
-isolation, float rounding, rational touches and gap signs: a count is the
-difference of its sign variations at two points, _isolate bisects until
-each interval holds one root, evaluating the sequence once per bisection
-point, and _halve refines one root's interval.  A bound p <= 0 on [0, 1]
-reads one sign of p in each gap between the roots isolated there; the
-strict bound p < 0 fails at the first of them.
+decision reads the real roots of the squarefree part ps = p / gcd(p, p')
+through a counter N(t), which drops by one at each root, so that
+N(a) - N(b) counts the roots in (a, b].  One isolation walk on a counter
+serves counting, isolation, float rounding, rational touches and gap
+signs: _isolate bisects until each interval holds one root, running the
+counter once per bisection point, and _halve refines one root's interval.
+A bound p <= 0 on [0, 1] reads one sign of p in each gap between the roots
+isolated there; the strict bound p < 0 fails at the first of them.
 Fraction appears only where forms and polynomials enter and leave.
+
 Negativity of an even form reduces by homogeneity to one chart plus one
-extra point.  There one accept test comes before the sequence: bisection
-by Descartes' rule of signs, on each half-line, from a power-of-two
-Fujiwara root bound.  It proves most negative forms at a small part of the
-cost of the sequence, and only accepts; a form it cannot prove goes the
-Sturm way, which decides every rejection and its witness.
+extra point.  There one accept test comes first: bisection by Descartes'
+rule of signs on each half-line, from a power-of-two Fujiwara root bound.
+It proves most negative forms cheaply, and only accepts.  A form it cannot
+prove is decided by one isolation: the heuristic GCD gives gcd(p, p') and
+ps with no remainder sequence, Vincent-Collins-Akritas bisection isolates
+the roots of ps, and the counter of that isolation, one sign of ps per
+point, places the witness.
+
+sturm_count, float_roots and is_nonpositive_on_unit_interval count on a
+Sturm chain instead: one signed primitive remainder sequence of p and p'
+(content stripped at every step), whose last term is gcd(p, p') and which,
+divided by that gcd, is a Sturm sequence of ps; its counter is the number
+of sign variations at t.  They count every root of a line f(1, t), which
+has many real roots and small coefficients, and there the isolation is the
+slower: on the 20 lines of the representatives of degree 41 it took 2.7
+times as long as the chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import gcd, inf, nextafter
 from operator import lshift, neg
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (
     BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly,
@@ -49,12 +59,8 @@ from .core import (
 
 
 def _content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    return g or 1
+    # math.gcd stops reading its arguments once the gcd is 1
+    return gcd(*p) or 1
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -165,11 +171,11 @@ def _var_at(chain: list[list[int]], t: Fraction | None, positive_inf: bool = Tru
     return _variations([_sign_at(p, t) for p in chain])
 
 
-def _count(chain: list[list[int]], a: Fraction | None, b: Fraction | None) -> int:
-    """Distinct roots in the half-open interval (a, b]; None means the infinities."""
-    va = _var_at(chain, a, positive_inf=False)
-    vb = _var_at(chain, b, positive_inf=True)
-    return va - vb
+def _count(counter: Callable[[Fraction], int], a: Fraction, b: Fraction) -> int:
+    """Distinct roots in the half-open interval (a, b]: counter(a) - counter(b),
+    for a counter N(t) that drops by one at each root (a Sturm chain's
+    partial(_var_at, chain), or _root_counter of an isolation)."""
+    return counter(a) - counter(b)
 
 
 def _int_coeffs(cs) -> list[int]:
@@ -189,29 +195,30 @@ def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None
         raise ValueError("root counting on the zero polynomial")
     if a is not None and b is not None and a >= b:
         raise ValueError("need a < b")
-    return _count(_sturm(_int_coeffs(p.coeffs)), a, b)
+    chain = _sturm(_int_coeffs(p.coeffs))
+    return _var_at(chain, a, positive_inf=False) - _var_at(chain, b, positive_inf=True)
 
 
-def _isolate(chain: list[list[int]], lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+def _isolate(counter: Callable[[Fraction], int], lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (a, b], ascending, each holding one root
-    of chain[0] in (lo, hi].  The variation count at both ends of an interval
-    rides on the stack, so the chain is evaluated once per bisection point."""
-    stack = [(lo, _var_at(chain, lo), hi, _var_at(chain, hi))]
+    counted by counter in (lo, hi].  The count at both ends of an interval
+    rides on the stack, so the counter runs once per bisection point."""
+    stack = [(lo, counter(lo), hi, counter(hi))]
     while stack:
         a, va, b, vb = stack.pop()
         if va - vb == 1:
             yield a, b
         elif va - vb > 1:
             m = (a + b) / 2
-            vm = _var_at(chain, m)
+            vm = counter(m)
             stack.append((m, vm, b, vb))
             stack.append((a, va, m, vm))
 
 
-def _halve(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+def _halve(counter: Callable[[Fraction], int], a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     """The half (a, m] or (m, b] of (a, b] that holds its single root."""
     m = (a + b) / 2
-    return (a, m) if _count(chain, a, m) else (m, b)
+    return (a, m) if _count(counter, a, m) else (m, b)
 
 
 def _cauchy_bound(ps: list[int]) -> Fraction:
@@ -231,22 +238,23 @@ def float_roots(p: UniPoly) -> list[float]:
         raise ValueError("root isolation on the zero polynomial")
     chain = _sturm(_int_coeffs(p.coeffs))
     ps = chain[0]
+    counter = partial(_var_at, chain)
     bound = _cauchy_bound(ps)
     out = []
-    for a, b in _isolate(chain, -bound, bound):
+    for a, b in _isolate(counter, -bound, bound):
         # halve until b is the root or both ends round to the same float or
         # to neighbouring floats
         while _sign_at(ps, b) != 0:
             lo, hi = float(a), float(b)
             if nextafter(lo, inf) < hi:
-                a, b = _halve(chain, a, b)
+                a, b = _halve(counter, a, b)
                 continue
             if lo < hi:
                 # neighbouring floats: the root rounds to the one on its side
                 # of the rounding boundary m between them, or to m itself
                 m = (Fraction(lo) + Fraction(hi)) / 2
                 if _sign_at(ps, m) != 0:
-                    m = Fraction(lo) if _count(chain, a, m) else Fraction(hi)
+                    m = Fraction(lo) if _count(counter, a, m) else Fraction(hi)
                 b = m
             break
         out.append(float(b))
@@ -271,15 +279,15 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
     # of each root it is read at the left end a of the root's isolating
     # interval (a, b], or, when a is itself a root (0 or the root before),
     # at the first point to which halving (a, b] moves a.
-    chain = _sturm(ints)
-    for a, b in _isolate(chain, Fraction(0), Fraction(1)):
+    counter = partial(_var_at, _sturm(ints))
+    for a, b in _isolate(counter, Fraction(0), Fraction(1)):
         if strict:
             return False
         s = _sign_at(ints, a)
         if s == 0:
             root = a
             while a == root:
-                a, b = _halve(chain, a, b)
+                a, b = _halve(counter, a, b)
             s = _sign_at(ints, a)
         if s > 0:
             return False
@@ -309,6 +317,13 @@ def _fujiwara_exponent(q: list[int]) -> int:
     top = q[-1].bit_length()
     return 1 + max(-((top - 1 - c.bit_length()) // i)
                    for i, c in enumerate(reversed(q[:-1]), 1) if c)
+
+
+def _on_unit_interval(q: list[int], k: int) -> list[int]:
+    """q(2^k x), times 2^(-k n) when k < 0: the roots of q in (0, 2^k) as
+    those of an integer list in (0, 1)."""
+    n = len(q) - 1
+    return [c << (k * i - min(k, 0) * n) for i, c in enumerate(q)]
 
 
 def _shift_one(c: list[int]) -> list[int]:
@@ -342,7 +357,7 @@ def _no_variation(c: list[int]) -> bool:
 
 def _descartes_negative(q: list[int]) -> bool:
     """True when bisection proves q < 0 for all t > 0, for q negative at 0
-    and at infinity.  False leaves the decision to the Sturm sequence: it
+    and at infinity.  False leaves the decision to the isolation: it
     comes at a midpoint where q >= 0, or at a node of depth k + tau that
     still has variations, tau the bit size of q.
 
@@ -353,7 +368,7 @@ def _descartes_negative(q: list[int]) -> bool:
     pair nearer the axis than that, or a real root of even multiplicity at
     a t that is no midpoint (any non-dyadic t, rational or irrational),
     keeps one node of every depth down to k + tau before the decision goes
-    to Sturm.  At most n nodes of a
+    to the isolation.  At most n nodes of a
     depth have variations, since their circles are disjoint and each holds
     a root, so the walk visits at most 1 + 2n(k + tau) nodes."""
     if max(q) <= 0:  # no sign variation on (0, infinity)
@@ -364,8 +379,7 @@ def _descartes_negative(q: list[int]) -> bool:
     k = _fujiwara_exponent(q)
     cap = k + max(map(int.bit_length, q))
     down = range(n, -1, -1)
-    # q(2^k x), times 2^(-k n) when k < 0
-    stack = [([c << (k * i - min(k, 0) * n) for i, c in enumerate(q)], 0)]
+    stack = [(_on_unit_interval(q, k), 0)]
     while stack:
         node, depth = stack.pop()
         if depth and _no_variation(node):
@@ -378,6 +392,169 @@ def _descartes_negative(q: list[int]) -> bool:
         stack.append((_shift_one(left), depth + 1))
         stack.append((left, depth + 1))
     return True
+
+
+# ---------------------------------------------------------------------------
+# squarefree part and real root isolation, with no remainder sequence
+#
+# The heuristic GCD of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989)
+# gives the squarefree part; Vincent-Collins-Akritas bisection, as in the
+# accept test, isolates its real roots.  The isolation counts like a Sturm
+# chain: _root_counter is a counter for _isolate, _halve and _count.
+# ---------------------------------------------------------------------------
+
+
+def _hgcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) of nonzero integer polynomials, primitive with a positive
+    lead, by the heuristic GCD.
+
+    At xi = 2^k >= 2 min(|a|, |b|) + 2 (max norms) the symmetric xi-adic
+    digits of the integer gcd(a(xi), b(xi)) are a candidate.  By the
+    theorem of Char, Geddes and Gonnet a candidate whose primitive part
+    divides a and b is their gcd.  Otherwise the integer gcd carried an
+    extra factor, which divides res(a/g, b/g); once xi is large enough the
+    candidate is that factor times g, so the loop ends as k grows."""
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    while True:
+        # h > 0, so its top digit and the lead of g are positive
+        h = gcd(_eval_pow2(a, k), _eval_pow2(b, k))
+        g = _primitive(_digits(h, k))
+        try:
+            _divexact(a, g)
+            _divexact(b, g)
+        except ValueError:
+            k *= 2
+            continue
+        return g
+
+
+def _eval_pow2(p: list[int], k: int) -> int:
+    """p(2^k), by Horner with shifts."""
+    v = 0
+    for c in reversed(p):
+        v = (v << k) + c
+    return v
+
+
+def _digits(h: int, k: int) -> list[int]:
+    """The digits of h in base xi = 2^k, each in (-xi/2, xi/2], lowest first."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while h:
+        d = h & mask
+        if d > half:
+            d -= 1 << k
+        out.append(d)
+        h = (h - d) >> k
+    return out
+
+
+def _squarefree(p: list[int]) -> tuple[list[int], list[int]]:
+    """(p / g, g) for a primitive p of degree >= 1 and g = gcd(p, p'): the
+    squarefree part of p, which is the first term of _sturm(p), and the
+    part of p that holds its repeated roots."""
+    g = _hgcd(p, _primitive(_deriv(p)))
+    return _divexact(p, g), g
+
+
+def _dyadic(c: int, e: int) -> Fraction:
+    """c * 2^e."""
+    return Fraction(c << e) if e >= 0 else Fraction(c, 1 << -e)
+
+
+def _descartes_count(c: list[int]) -> int:
+    """The sign variations of (x+1)^n c(1/(x+1)), capped at 2: 0 or 1 is the
+    number of roots of c in (0, 1), and 2 means the node must split.  It
+    runs the passes of _no_variation, fixing one coefficient of the
+    transform per pass, and stops once the entries left have one sign,
+    since every later coefficient is a sum of them."""
+    v, last = 0, 0
+    while True:
+        c = list(accumulate(c))
+        x = c.pop()
+        if x:
+            if last and (x > 0) != (last > 0):
+                v += 1
+                if v == 2:
+                    return 2
+            last = x
+        top, bottom = max(c, default=0), min(c, default=0)
+        if top <= 0 or bottom >= 0:
+            rest = top or bottom
+            return v + bool(rest and last and (rest > 0) != (last > 0))
+
+
+def _positive_roots(q: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the roots t > 0 of a squarefree q with q(0) != 0,
+    unordered: (a, b) holds one root strictly inside, and (m, m) is a root
+    met exactly at a bisection midpoint m.
+
+    Bisection from the Fujiwara bound 2^k, as in _descartes_negative, with
+    nodes q(2^e (j + x)) for x in (0, 1).  A squarefree q leaves 0 or 1
+    variations on every node narrow enough, so the walk needs no cap."""
+    if _variations([(c > 0) - (c < 0) for c in q]) == 0:
+        return []
+    k = _fujiwara_exponent(q)
+    out = []
+    stack = [(_on_unit_interval(q, k), 0, k)]
+    while stack:
+        node, j, e = stack.pop()  # the node spans (j 2^e, (j + 1) 2^e)
+        v = _descartes_count(node)
+        if v == 1:
+            out.append((_dyadic(j, e), _dyadic(j + 1, e)))
+        elif v:
+            left = list(map(lshift, node, range(len(node) - 1, -1, -1)))  # 2^n Q(x/2)
+            right = _shift_one(left)
+            if not right[0]:  # q at the midpoint
+                m = _dyadic(2 * j + 1, e - 1)
+                out.append((m, m))
+                right.pop(0)
+            stack.append((right, 2 * j + 1, e - 1))
+            stack.append((left, 2 * j, e - 1))
+    return out
+
+
+def _real_roots(q: list[int]) -> list[list]:
+    """The real roots of the squarefree q with q(0) != 0, ascending, as
+    entries [a, b, s]: a == b is a root, else one root lies strictly inside
+    (a, b) and s is the sign of q just left of b.  b may itself be a root,
+    where q is 0, so s is read there on q'."""
+    alternated = list(q)
+    alternated[1::2] = map(neg, q[1::2])  # q(-t)
+    found = [(-b, -a) for a, b in _positive_roots(alternated)] + _positive_roots(q)
+    found.sort()
+    out = []
+    for a, b in found:
+        s = 0 if a == b else _sign_at(q, b) or -_sign_at(_deriv(q), b)
+        out.append([a, b, s])
+    return out
+
+
+def _root_counter(q: list[int], roots: list[list]) -> Callable[[Fraction], int]:
+    """The counter N(t) = -#(roots of q <= t) of the isolation roots, which
+    it refines in place: when t falls inside an interval, one sign of q
+    says on which side of t its root lies."""
+    def counter(t: Fraction) -> int:
+        n = 0
+        for r in roots:
+            a, b, s = r
+            if b <= t:
+                n += 1
+            elif a >= t:
+                break
+            else:
+                st = _sign_at(q, t)
+                if st == 0:
+                    r[:] = t, t, 0
+                    n += 1
+                elif st == s:  # t lies right of the root
+                    r[1] = t
+                    n += 1
+                else:
+                    r[0] = t
+                break
+        return -n
+    return counter
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +571,8 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
     origin is an even-order touch on a line of irrational slope.
 
     Bisection by Descartes' rule accepts h when it proves h(1, t) < 0 on
-    both half-lines; otherwise the Sturm sequence decides, so every
-    rejection and its witness come from that sequence.
+    both half-lines; otherwise the isolation of the squarefree part of
+    h(1, t) decides, so every rejection and its witness come from it.
     """
     if h.is_zero():
         raise ValueError("negativity test on the zero form")
@@ -414,15 +591,19 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
     if (sum(ints) < 0 and sum(alternated) < 0
             and _descartes_negative(ints) and _descartes_negative(alternated)):
         return True, None
-    chain = _sturm(ints)
-    if _count(chain, None, None) == 0:
+    ps, g = _squarefree(ints)
+    roots = _real_roots(ps)
+    if not roots:
         return True, None
-    return False, _root_witness(ints, chain)
+    return False, _root_witness(ints, ps, g, _root_counter(ps, roots))
 
 
-def _root_witness(ints: list[int], chain: list[list[int]]) -> tuple[Rat, Rat] | None:
-    bound = _cauchy_bound(chain[0])
-    for a, b in _isolate(chain, -bound, bound):
+def _root_witness(ints: list[int], ps: list[int], g: list[int],
+                  counter: Callable[[Fraction], int]) -> tuple[Rat, Rat] | None:
+    """The witness of a rejection, from ints, its squarefree part ps, the
+    gcd g = ints / ps and a counter of the roots of ps."""
+    bound = _cauchy_bound(ps)
+    for a, b in _isolate(counter, -bound, bound):
         # h(1, t) is negative at both ends of the line, and the walk is
         # ascending and returns at the first sign change, so h < 0 at every
         # left end a it reaches: a root of odd multiplicity, or one that
@@ -430,9 +611,9 @@ def _root_witness(ints: list[int], chain: list[list[int]]) -> tuple[Rat, Rat] | 
         if _sign_at(ints, b) >= 0:
             return (Fraction(1), b)
         # both ends negative: an even-multiplicity touch of zero strictly
-        # inside (a, b), the one root there of gcd(h, h') = ints / chain[0];
+        # inside (a, b), the one root there of g = gcd(h, h');
         # a rational witness exists only if that root is rational
-        r = _rational_root(_divexact(ints, chain[0]), a, b)
+        r = _rational_root(g, a, b)
         if r is not None:
             return (Fraction(1), r)
     return None
@@ -445,12 +626,14 @@ def _rational_root(g: list[int], a: Fraction, b: Fraction) -> Fraction | None:
     L = |lead(gs)|, and two distinct rationals with denominators <= L lie at
     least 1/L^2 apart.  Once (a, b] is narrower than 1/L^2, the root is the
     rational with denominator <= L nearest to its midpoint, or is irrational.
+    (a, b] is halved by one sign of gs per step.
     """
-    chain = _sturm(g)
-    gs = chain[0]
+    gs = _squarefree(g)[0]
     lead = abs(gs[-1])
+    s = _sign_at(gs, b)
+    counter = _root_counter(gs, [[a, b, s] if s else [b, b, 0]])
     while (b - a) * lead * lead >= 1:
-        a, b = _halve(chain, a, b)
+        a, b = _halve(counter, a, b)
     c = ((a + b) / 2).limit_denominator(lead)
     return c if _sign_at(gs, c) == 0 else None
 

@@ -10,6 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
@@ -133,8 +134,16 @@ def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, 
     assert sturm_count(p) == len(roots)
     if a < b:
         assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
-    for lo, hi in certify._isolate(certify._sturm(certify._int_coeffs(p.coeffs)), Fraction(-4), Fraction(4)):
+    chain = certify._sturm(certify._int_coeffs(p.coeffs))
+    walk = list(certify._isolate(partial(certify._var_at, chain), Fraction(-4), Fraction(4)))
+    for lo, hi in walk:
         assert sum(1 for r in roots if lo < r <= hi) == 1
+    # the isolation of the squarefree part counts as the chain does
+    ps = certify._squarefree(certify._int_coeffs(p.coeffs))[0]
+    assert ps == chain[0]
+    if ps[0]:  # the isolation needs q(0) != 0, as h(1, 0) < 0 gives it
+        isolation = certify._root_counter(ps, certify._real_roots(ps))
+        assert list(certify._isolate(isolation, Fraction(-4), Fraction(4))) == walk
     assert certify.float_roots(p) == [float(r) for r in roots]
 
 
@@ -166,7 +175,7 @@ def test_isolate_evaluates_the_chain_once_per_bisection_point(monkeypatch):
 
     monkeypatch.setattr(certify, "_var_at", counted)
     lo, hi = Fraction(-4), Fraction(4)
-    intervals = list(certify._isolate(chain, lo, hi))
+    intervals = list(certify._isolate(partial(certify._var_at, chain), lo, hi))
     splits = _splits(ISOLATE_ROOTS, lo, hi)
     assert splits >= 5
     assert len(points) == 2 + splits
@@ -188,7 +197,9 @@ def test_halve_keeps_the_half_with_the_root(root, half):
     # squarefree part
     p = linear_power(root, 2) * linear_power(Fraction(-5), 1)
     chain = certify._sturm(certify._int_coeffs(p.coeffs))
-    assert certify._halve(chain, Fraction(0), Fraction(1)) == half
+    assert certify._halve(partial(certify._var_at, chain), Fraction(0), Fraction(1)) == half
+    ps = chain[0]
+    assert certify._halve(certify._root_counter(ps, certify._real_roots(ps)), Fraction(0), Fraction(1)) == half
 
 
 def test_sturm_count_half_open_convention():
@@ -589,7 +600,8 @@ def descartes_accepts(ints: list[int]) -> bool:
 
 
 def sturm_accepts(ints: list[int]) -> bool:
-    return certify._count(certify._sturm(ints), None, None) == 0
+    chain = certify._sturm(ints)
+    return certify._var_at(chain, None, False) == certify._var_at(chain, None, True)
 
 
 def test_descartes_and_sturm_agree_on_seeded_targets():
@@ -623,27 +635,32 @@ def test_descartes_and_sturm_agree_on_seeded_targets():
     assert bisected >= 2000 and rejected >= 100
 
 
-def test_conjugate_pair_near_the_axis_falls_back_to_sturm(monkeypatch):
+def test_conjugate_pair_near_the_axis_is_accepted_by_the_isolation(monkeypatch):
     # h(1, t) = -((a t - 1)^2 + t^12) has no real root; a pair of roots lies
     # about a^-7 (near 2^-56) off the axis at t = 1/a, far nearer than a
     # quadratic with 16-bit coefficients can put one, so the bisection stops
-    # at its depth cap (every midpoint is negative) and Sturm accepts
+    # at its depth cap (every midpoint is negative), and the isolation of the
+    # squarefree part, which has no cap, finds no root and accepts
     a = 255
     h = Fraction(-1) * (parse_form(f"x^10*(x - {a}*y)^2") + parse_form("y^12"))
     ints = certify._int_coeffs(h.coeffs)
     assert ints[1] == 2 * a and max(map(int.bit_length, ints)) == 16
     assert sympy_slice(h).count_roots() == 0
     assert not certify._descartes_negative(ints)
-    chains = []
-    inner = certify._sturm
+    isolated = []
+    inner = certify._real_roots
 
-    def spy(p):
-        chains.append(p)
-        return inner(p)
+    def spy(q):
+        isolated.append(q)
+        return inner(q)
 
-    monkeypatch.setattr(certify, "_sturm", spy)
+    def no_chain(*args):
+        raise AssertionError("a remainder sequence was built")
+
+    monkeypatch.setattr(certify, "_real_roots", spy)
+    monkeypatch.setattr(certify, "_prs", no_chain)
     assert is_negative_form(h) == (True, None)
-    assert chains == [ints]
+    assert isolated == [ints]  # ints is squarefree
 
 
 def test_accepting_pfact_81_builds_no_sturm_chain(monkeypatch):
@@ -657,6 +674,142 @@ def test_accepting_pfact_81_builds_no_sturm_chain(monkeypatch):
     assert f.degree == 81
     assert is_hyperbolic(f).is_hyperbolic
     assert is_hyperbolic_polar(f).is_hyperbolic
+    certify._certify.cache_clear()
+
+
+def sturm_decision(ints: list[int]) -> tuple[bool, tuple | None]:
+    """is_negative_form after its accept test, decided on Sturm chains: the
+    chain of ints counts, isolates and refines its roots, and the chain of
+    gcd(ints, ints') refines a touch."""
+    chain = certify._sturm(ints)
+    if certify._var_at(chain, None, False) == certify._var_at(chain, None, True):
+        return True, None
+    bound = certify._cauchy_bound(chain[0])
+    g = certify._divexact(ints, chain[0])
+    for a, b in certify._isolate(partial(certify._var_at, chain), -bound, bound):
+        if certify._sign_at(ints, b) >= 0:
+            return False, (Fraction(1), b)
+        touch = certify._sturm(g)
+        lead = abs(touch[0][-1])
+        while (b - a) * lead * lead >= 1:
+            a, b = certify._halve(partial(certify._var_at, touch), a, b)
+        c = ((a + b) / 2).limit_denominator(lead)
+        if certify._sign_at(touch[0], c) == 0:
+            return False, (Fraction(1), c)
+    return False, None
+
+
+def isolation_decision(ints: list[int]) -> tuple[bool, tuple | None]:
+    ps, g = certify._squarefree(ints)
+    roots = certify._real_roots(ps)
+    if not roots:
+        return True, None
+    return False, certify._root_witness(ints, ps, g, certify._root_counter(ps, roots))
+
+
+def negative_definite(rng: random.Random, degree: int) -> list[int]:
+    """-(a product of quadratics with no real root), of the given even degree."""
+    out = [-1]
+    for _ in range(degree // 2):
+        b = rng.randint(-9, 9)
+        c = rng.randint(b * b // 4 + 1, b * b // 4 + 20)
+        out = certify._mul_int(out, [c, b, 1])
+    return out
+
+
+def test_isolation_and_sturm_walk_agree_on_seeded_rejection_targets():
+    # h(1, t) for touches (v t - u)^2 and (b t^2 - a)^2 times a negative
+    # definite factor, for Hessian and polar targets of l^2 * g with
+    # slopes 1, 1/2, 1/3 and 5/7, and for seeded random forms: every
+    # target with a real root, whose verdict and witness come from the
+    # fallback of is_negative_form
+    rng = random.Random(1414)
+    targets = []
+    for _ in range(900):
+        u, v = rng.randint(-40, 40), rng.randint(1, 40)
+        touch = certify._mul_int([-u, v], [-u, v])
+        if rng.random() < 0.3:  # two sign changes
+            w = rng.randint(1, 9)
+            touch = certify._mul_int(touch, [w * rng.randint(1, 81), -10 * w, 1])
+        targets.append(certify._mul_int(touch, negative_definite(rng, 2 * rng.randint(0, 4))))
+    for _ in range(600):
+        a, b = rng.randint(1, 60), rng.randint(1, 60)
+        square = certify._mul_int([-a, 0, b], [-a, 0, b])
+        targets.append(certify._mul_int(square, negative_definite(rng, 2 * rng.randint(0, 3))))
+    forms = [LinearForm(Fraction(s.denominator), Fraction(-s.numerator)).to_form() ** 2 * m.form
+             for s in map(Fraction, ("1", "1/2", "1/3", "5/7"))
+             for d in range(3, 14) if d != 4 for m in representatives(d)]
+    forms += [random_form(rng, rng.randint(2, 10)) for _ in range(500)]
+    for f in forms:
+        for target in (hessian(f), polar_form(f)):
+            if not target.is_zero() and target.degree % 2 == 0:
+                targets.append(certify._int_coeffs(target.coeffs))
+    rejected = witnessless = 0
+    for ints in targets:
+        ints = certify._primitive(certify._trim(ints))
+        if len(ints) < 2 or ints[0] >= 0 or ints[-1] >= 0:
+            continue
+        want = sturm_decision(ints)
+        if want[0]:
+            continue
+        assert isolation_decision(ints) == want, ints
+        h = BinaryForm(len(ints) - 1, tuple(map(Fraction, ints)))
+        assert is_negative_form(h) == want
+        rejected += 1
+        witnessless += want[1] is None
+    assert rejected >= 2000 and witnessless >= 100
+
+
+def test_heuristic_gcd_matches_sympy_on_seeded_pairs(monkeypatch):
+    # a = g * u and b = g * w for random g, u and w; seed 0 gives a pair
+    # whose first xi leaves an extra factor, so that xi grows
+    steps = []
+    digits = certify._digits
+
+    def spy(h, k):
+        steps.append(k)
+        return digits(h, k)
+
+    monkeypatch.setattr(certify, "_digits", spy)
+    grown = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+
+        def poly(degree, size):
+            return [rng.randint(-size, size) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, size)]
+
+        g = poly(rng.randint(0, 3), 9)
+        a = certify._primitive(certify._mul_int(g, poly(rng.randint(1, 6), 9)))
+        b = certify._primitive(certify._mul_int(g, poly(rng.randint(1, 6), 9)))
+        steps.clear()
+        got = certify._hgcd(a, b)
+        want = sympy.Poly(list(reversed(a)), T).gcd(sympy.Poly(list(reversed(b)), T))
+        want = [int(c) for c in reversed(want.all_coeffs())]
+        if want[-1] < 0:
+            want = [-c for c in want]
+        assert got == want, seed
+        grown += len(steps) > 1
+        if seed == 0:
+            assert len(steps) == 2
+    assert grown >= 5
+
+
+def test_repeated_line_rejections_build_no_remainder_sequence(monkeypatch):
+    # the D = 31 l^2 * g forms of the certify workload: both routes reject
+    # on the isolation of the squarefree part, with the touch as witness
+    def no_chain(*args):
+        raise AssertionError("a remainder sequence was built")
+
+    monkeypatch.setattr(certify, "_prs", no_chain)
+    certify._certify.cache_clear()
+    bases = representatives(29)
+    for k in range(6):
+        s = (1, 2)[k % 2]
+        line = LinearForm(Fraction(1), Fraction(-s)).to_form()
+        f = line * line * bases[k * len(bases) // 6].form
+        for cert in (is_hyperbolic(f), is_hyperbolic_polar(f)):
+            assert not cert.is_hyperbolic
+            assert cert.witness == (Fraction(1), Fraction(1, s))
     certify._certify.cache_clear()
 
 
@@ -718,7 +871,7 @@ def test_rational_root_matches_sympy_on_seeded_polynomials():
         g = int_poly(factors)
         chain = certify._sturm(g)
         bound = certify._cauchy_bound(chain[0])
-        for a, b in certify._isolate(chain, -bound, bound):
+        for a, b in certify._isolate(partial(certify._var_at, chain), -bound, bound):
             want = rational_root_oracle(g, a, b)
             assert certify._rational_root(g, a, b) == want
             checked += 1

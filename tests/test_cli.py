@@ -512,6 +512,20 @@ def test_cli_imports_only_the_standard_library():
     assert [m for m in loaded if m not in sys.stdlib_module_names and m != "hypforms"] == []
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+    # the reader closes stdout before the first byte; python -m runs the
+    # sys.exit(main()) line of cli
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "hypforms.cli", "family", "pfact", "49"],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_benchmark_selftest_passes():
     # the benchmark's own checks: failed operations are counted, the tracer
     # restores what it rebinds, inputs repeat for a seed
@@ -530,8 +544,9 @@ def test_benchmark_selftest_passes():
 # coefficient size and nesting are exercised at and past their edges.
 # Sums stay at degree 6 or below, and a coefficient of thousands of digits
 # that parses appears only up to degree 3: certification time still grows
-# steeply with coefficient size (a 4300-digit coefficient at degree 6 can
-# take a minute), which is an open item of its own, not a contract break.
+# with coefficient size (both routes on a 4300-digit coefficient at degree
+# 6 take seconds, bisecting down to roots near 2^-3573), which is an open
+# item of its own, not a contract break.
 
 _SMALL = st.sampled_from(["0", "1", "2", "3", "7", "1/2", "3/4", "12/5"])
 # accepted, and cheap at every degree of the grammar
