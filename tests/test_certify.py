@@ -699,14 +699,6 @@ def sturm_decision(ints: list[int]) -> tuple[bool, tuple | None]:
     return False, None
 
 
-def isolation_decision(ints: list[int]) -> tuple[bool, tuple | None]:
-    ps, g = certify._squarefree(ints)
-    roots = certify._real_roots(ps)
-    if not roots:
-        return True, None
-    return False, certify._root_witness(ints, ps, g, certify._root_counter(ps, roots))
-
-
 def negative_definite(rng: random.Random, degree: int) -> list[int]:
     """-(a product of quadratics with no real root), of the given even degree."""
     out = [-1]
@@ -719,10 +711,10 @@ def negative_definite(rng: random.Random, degree: int) -> list[int]:
 
 def test_isolation_and_sturm_walk_agree_on_seeded_rejection_targets():
     # h(1, t) for touches (v t - u)^2 and (b t^2 - a)^2 times a negative
-    # definite factor, for Hessian and polar targets of l^2 * g with
-    # slopes 1, 1/2, 1/3 and 5/7, and for seeded random forms: every
+    # definite factor, for Hessian and polar targets of l^2 * g with the
+    # touch at t = 1, 1/2, 1/3 and 5/7, and for seeded random forms: every
     # target with a real root, whose verdict and witness come from the
-    # fallback of is_negative_form
+    # isolation after the accept test of is_negative_form
     rng = random.Random(1414)
     targets = []
     for _ in range(900):
@@ -736,7 +728,7 @@ def test_isolation_and_sturm_walk_agree_on_seeded_rejection_targets():
         a, b = rng.randint(1, 60), rng.randint(1, 60)
         square = certify._mul_int([-a, 0, b], [-a, 0, b])
         targets.append(certify._mul_int(square, negative_definite(rng, 2 * rng.randint(0, 3))))
-    forms = [LinearForm(Fraction(s.denominator), Fraction(-s.numerator)).to_form() ** 2 * m.form
+    forms = [LinearForm(Fraction(s.numerator), Fraction(-s.denominator)).to_form() ** 2 * m.form
              for s in map(Fraction, ("1", "1/2", "1/3", "5/7"))
              for d in range(3, 14) if d != 4 for m in representatives(d)]
     forms += [random_form(rng, rng.randint(2, 10)) for _ in range(500)]
@@ -752,9 +744,8 @@ def test_isolation_and_sturm_walk_agree_on_seeded_rejection_targets():
         want = sturm_decision(ints)
         if want[0]:
             continue
-        assert isolation_decision(ints) == want, ints
         h = BinaryForm(len(ints) - 1, tuple(map(Fraction, ints)))
-        assert is_negative_form(h) == want
+        assert is_negative_form(h) == want, ints
         rejected += 1
         witnessless += want[1] is None
     assert rejected >= 2000 and witnessless >= 100

@@ -545,7 +545,7 @@ def test_benchmark_selftest_passes():
 # Sums stay at degree 6 or below, and a coefficient of thousands of digits
 # that parses appears only up to degree 3: certification time still grows
 # with coefficient size (both routes on a 4300-digit coefficient at degree
-# 6 take seconds, bisecting down to roots near 2^-3573), which is an open
+# 6 take seconds, bisecting down to roots near 2^-3571), which is an open
 # item of its own, not a contract break.
 
 _SMALL = st.sampled_from(["0", "1", "2", "3", "7", "1/2", "3/4", "12/5"])
