@@ -16,13 +16,13 @@ isolated there; the strict bound p < 0 fails at the first of them.
 Fraction appears only where forms and polynomials enter and leave.
 
 Negativity of an even form reduces by homogeneity to one chart plus one
-extra point.  There one accept test comes first: bisection by Descartes'
-rule of signs on each half-line, from a power-of-two Fujiwara root bound.
-It proves most negative forms cheaply, and only accepts.  A form it cannot
-prove is decided by one isolation: the heuristic GCD gives gcd(p, p') and
-ps with no remainder sequence, Vincent-Collins-Akritas bisection isolates
-the roots of ps, and the counter of that isolation, one sign of ps per
-point, places the witness.
+extra point.  There one walk decides, bisection by Descartes' rule of signs
+on each half-line from a power-of-two Fujiwara root bound.  Capped, it is
+the accept test: it proves most negative forms cheaply, and only accepts.
+A form it cannot prove is decided by one isolation: the heuristic GCD
+gives gcd(p, p') and ps with no remainder sequence, the same walk uncapped
+isolates the roots of ps, and the counter of that isolation, one sign of
+ps per point, places the witness.
 
 sturm_count, float_roots and is_nonpositive_on_unit_interval count on a
 Sturm chain instead: one signed primitive remainder sequence of p and p'
@@ -295,15 +295,20 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Descartes accept test
+# Descartes bisection and the squarefree part, with no remainder sequence
 #
 # Vincent-Collins-Akritas bisection (Collins and Akritas, SYMSAC 1976;
 # Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 2004) on integer
 # lists.  A node Q of degree n is q on one dyadic interval of (0, 2^k),
 # mapped onto (0, 1) and scaled by a power of two.  The sign variations of
-# (x+1)^n Q(1/(x+1)) bound the number of roots of Q in (0, 1), so none
-# proves there are none; a node with variations splits into 2^n Q(x/2) and
-# its shift by 1, whose constant term is the sign of q at the midpoint.
+# (x+1)^n Q(1/(x+1)) bound the number of roots of Q in (0, 1) and have its
+# parity, so none proves there are none and one that there is one; a node
+# with more splits into 2^n Q(x/2) and its shift by 1, whose constant term
+# is the sign of q at the midpoint.  One walk, _positive_roots, runs capped
+# as the accept test and uncapped as the isolation.  The heuristic GCD of
+# Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989) gives the squarefree
+# part that the isolation needs.  The isolation counts like a Sturm chain:
+# _root_counter is a counter for _isolate, _halve and _count.
 # ---------------------------------------------------------------------------
 
 
@@ -335,73 +340,6 @@ def _shift_one(c: list[int]) -> list[int]:
         b = list(accumulate(b))
         out.append(b.pop())
     return out
-
-
-def _no_variation(c: list[int]) -> bool:
-    """True when (x+1)^n c(1/(x+1)) has no sign variation, so that c has no
-    root in (0, 1), for c negative at 0 and at 1.
-
-    Its end coefficients are c(1) and c(0), so the count is even: 0 means
-    that no coefficient is positive.  The transform is _shift_one(c[::-1]),
-    whose passes this runs with two exits: at the first positive fixed
-    coefficient, and once no entry is positive, since the later passes,
-    sums of these, add none.  The exits halve the bisection's time on the
-    targets of the benchmark."""
-    while True:
-        c = list(accumulate(c))
-        if c.pop() > 0:
-            return False
-        if max(c) <= 0:
-            return True
-
-
-def _descartes_negative(q: list[int]) -> bool:
-    """True when bisection proves q < 0 for all t > 0, for q negative at 0
-    and at infinity.  False leaves the decision to the isolation: it
-    comes at a midpoint where q >= 0, or at a node of depth k + tau that
-    still has variations, tau the bit size of q.
-
-    A node of depth j spans 2^(k-j).  A conjugate pair of an integer
-    quadratic with tau-bit coefficients lies more than 2^(-tau-1) off the
-    real axis (its discriminant is a nonzero integer), so by the one-circle
-    theorem it leaves every node of depth k + tau without variations.  A
-    pair nearer the axis than that, or a real root of even multiplicity at
-    a t that is no midpoint (any non-dyadic t, rational or irrational),
-    keeps one node of every depth down to k + tau before the decision goes
-    to the isolation.  At most n nodes of a
-    depth have variations, since their circles are disjoint and each holds
-    a root, so the walk visits at most 1 + 2n(k + tau) nodes."""
-    if max(q) <= 0:  # no sign variation on (0, infinity)
-        return True
-    # q has variations on (0, infinity), and so nearly always on the
-    # root interval (0, 2^k): the root is split without a test
-    n = len(q) - 1
-    k = _fujiwara_exponent(q)
-    cap = k + max(map(int.bit_length, q))
-    down = range(n, -1, -1)
-    stack = [(_on_unit_interval(q, k), 0)]
-    while stack:
-        node, depth = stack.pop()
-        if depth and _no_variation(node):
-            continue
-        if depth >= cap:
-            return False
-        left = list(map(lshift, node, down))  # 2^n Q(x/2)
-        if sum(left) >= 0:  # q at the midpoint
-            return False
-        stack.append((_shift_one(left), depth + 1))
-        stack.append((left, depth + 1))
-    return True
-
-
-# ---------------------------------------------------------------------------
-# squarefree part and real root isolation, with no remainder sequence
-#
-# The heuristic GCD of Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989)
-# gives the squarefree part; Vincent-Collins-Akritas bisection, as in the
-# accept test, isolates its real roots.  The isolation counts like a Sturm
-# chain: _root_counter is a counter for _isolate, _halve and _count.
-# ---------------------------------------------------------------------------
 
 
 def _hgcd(a: list[int], b: list[int]) -> list[int]:
@@ -463,55 +401,84 @@ def _dyadic(c: int, e: int) -> Fraction:
 
 
 def _descartes_count(c: list[int]) -> int:
-    """The sign variations of (x+1)^n c(1/(x+1)), capped at 2: 0 or 1 is the
-    number of roots of c in (0, 1), and 2 means the node must split.  It
-    runs the passes of _no_variation, fixing one coefficient of the
-    transform per pass, and stops once the entries left have one sign,
-    since every later coefficient is a sum of them."""
-    v, last = 0, 0
+    """The sign variations of (x+1)^n c(1/(x+1)), for c[0] != 0, capped at 2:
+    0 or 1 is the number of roots of c in (0, 1), and 2 means the node must
+    split.  The transform is _shift_one(c[::-1]), with c negated, which
+    keeps the count, so that c[0] < 0.  Its passes fix c(1) first and c[0]
+    last, and c[0] stays in every pass.  So once no entry is positive, the
+    later coefficients, sums of entries, are <= 0 and the count is 1 if a
+    positive one came before, else 0; and a positive coefficient after a
+    negative one makes two, as c[0] adds another.  These two exits halve
+    the bisection's time on the targets of the benchmark."""
+    if c[0] > 0:
+        c = list(map(neg, c))
+    negative = positive = False  # a coefficient of that sign fixed so far
     while True:
         c = list(accumulate(c))
         x = c.pop()
-        if x:
-            if last and (x > 0) != (last > 0):
-                v += 1
-                if v == 2:
-                    return 2
-            last = x
-        top, bottom = max(c, default=0), min(c, default=0)
-        if top <= 0 or bottom >= 0:
-            rest = top or bottom
-            return v + bool(rest and last and (rest > 0) != (last > 0))
+        if x > 0:
+            if negative:
+                return 2
+            positive = True
+        elif x:
+            negative = True
+        if not c or max(c) <= 0:
+            return int(positive)
 
 
-def _positive_roots(q: list[int]) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals of the roots t > 0 of a squarefree q with q(0) != 0,
-    unordered: (a, b) holds one root strictly inside, and (m, m) is a root
-    met exactly at a bisection midpoint m.
+def _positive_roots(q: list[int], capped: bool = False) -> Iterator[tuple[Fraction, Fraction] | None]:
+    """The roots t > 0 of q with q(0) != 0, in the order the walk finds them:
+    (a, b) holds one root strictly inside, and (m, m) is a root met exactly
+    at a bisection midpoint m.
 
-    Bisection from the Fujiwara bound 2^k, as in _descartes_negative, with
-    nodes q(2^e (j + x)) for x in (0, 1).  A squarefree q leaves 0 or 1
-    variations on every node narrow enough, so the walk needs no cap."""
-    if _variations([(c > 0) - (c < 0) for c in q]) == 0:
-        return []
+    Bisection from the Fujiwara bound 2^k, with nodes q(2^e (j + x)) for x
+    in (0, 1); a node of depth k - e spans 2^e.  Uncapped, it is the
+    isolation of a squarefree q, which leaves 0 or 1 variations on every
+    node narrow enough, so the walk ends.  Capped, it is the accept test: a
+    node of depth k + tau, tau the bit size of q, that still has variations
+    yields None and ends the walk.  A conjugate pair of an integer
+    quadratic with tau-bit coefficients lies more than 2^(-tau-1) off the
+    real axis (its discriminant is a nonzero integer), so by the one-circle
+    theorem it leaves every node of depth k + tau without variations.  A
+    pair nearer the axis than that, or a real root of even multiplicity at
+    a t that is no midpoint (any non-dyadic t, rational or irrational),
+    keeps one node of every depth down to k + tau.  At most n nodes of a
+    depth have variations, since their circles are disjoint and each holds
+    a root, so the capped walk visits at most 1 + 2n(k + tau) nodes."""
+    if max(q) <= 0 if q[0] < 0 else min(q) >= 0:  # no sign variation on (0, infinity)
+        return
     k = _fujiwara_exponent(q)
-    out = []
+    cap = k + max(map(int.bit_length, q)) if capped else inf
     stack = [(_on_unit_interval(q, k), 0, k)]
     while stack:
         node, j, e = stack.pop()  # the node spans (j 2^e, (j + 1) 2^e)
-        v = _descartes_count(node)
-        if v == 1:
-            out.append((_dyadic(j, e), _dyadic(j + 1, e)))
-        elif v:
-            left = list(map(lshift, node, range(len(node) - 1, -1, -1)))  # 2^n Q(x/2)
-            right = _shift_one(left)
-            if not right[0]:  # q at the midpoint
-                m = _dyadic(2 * j + 1, e - 1)
-                out.append((m, m))
-                right.pop(0)
-            stack.append((right, 2 * j + 1, e - 1))
-            stack.append((left, 2 * j, e - 1))
-    return out
+        # q has variations on (0, infinity), and so nearly always on the
+        # root interval (0, 2^k): the root is split without a test
+        if e < k:
+            v = _descartes_count(node)
+            if v == 1:
+                yield _dyadic(j, e), _dyadic(j + 1, e)
+            if v < 2:
+                continue
+            if k - e >= cap:
+                yield None
+                return
+        left = list(map(lshift, node, range(len(node) - 1, -1, -1)))  # 2^n Q(x/2)
+        right = _shift_one(left)
+        if not right[0]:  # q at the midpoint
+            m = _dyadic(2 * j + 1, e - 1)
+            yield m, m
+            right.pop(0)
+        stack.append((right, 2 * j + 1, e - 1))
+        stack.append((left, 2 * j, e - 1))
+
+
+def _descartes_negative(q: list[int]) -> bool:
+    """True when the capped walk proves q < 0 for all t > 0, for q negative
+    at 0 and at infinity; False leaves the decision to the isolation.  A
+    midpoint where q > 0 leaves a child with an odd count, which yields, so
+    a walk that yields nothing met only negative midpoints."""
+    return next(_positive_roots(q, capped=True), False) is False
 
 
 def _real_roots(q: list[int]) -> list[list]:
@@ -521,8 +488,7 @@ def _real_roots(q: list[int]) -> list[list]:
     where q is 0, so s is read there on q'."""
     alternated = list(q)
     alternated[1::2] = map(neg, q[1::2])  # q(-t)
-    found = [(-b, -a) for a, b in _positive_roots(alternated)] + _positive_roots(q)
-    found.sort()
+    found = sorted([(-b, -a) for a, b in _positive_roots(alternated)] + list(_positive_roots(q)))
     out = []
     for a, b in found:
         s = 0 if a == b else _sign_at(q, b) or -_sign_at(_deriv(q), b)
@@ -570,9 +536,10 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
     if and only if one exists; None means that every zero of h off the
     origin is an even-order touch on a line of irrational slope.
 
-    Bisection by Descartes' rule accepts h when it proves h(1, t) < 0 on
-    both half-lines; otherwise the isolation of the squarefree part of
-    h(1, t) decides, so every rejection and its witness come from it.
+    The Descartes walk, capped, accepts h when it proves h(1, t) < 0 on
+    both half-lines; otherwise the same walk, uncapped, isolates the roots
+    of the squarefree part of h(1, t), and every rejection and its witness
+    come from that isolation.
     """
     if h.is_zero():
         raise ValueError("negativity test on the zero form")

@@ -222,7 +222,8 @@ def cmd_lemma1(n_max: int) -> int:
 
 
 def _line_directions(f: BinaryForm) -> list[tuple[float, float]]:
-    """One unit vector per real zero line of f, each in the upper half plane."""
+    """One unit vector per real zero line of f: (1, t)/|(1, t)| in the right
+    half plane x > 0 for the line y = t*x, and (0, 1) for the line x = 0."""
     dirs: list[tuple[float, float]] = []
     for t in float_roots(f.restrict("x=1")):  # roots t give the lines y = t*x
         n = math.hypot(1.0, t)

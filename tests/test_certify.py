@@ -4,6 +4,7 @@ sympy is used as an independent oracle for real-root counting and for the
 definiteness decisions; the package itself never imports it.
 """
 
+import collections
 import hashlib
 import itertools
 import json
@@ -675,6 +676,75 @@ def test_accepting_pfact_81_builds_no_sturm_chain(monkeypatch):
     assert is_hyperbolic(f).is_hyperbolic
     assert is_hyperbolic_polar(f).is_hyperbolic
     certify._certify.cache_clear()
+
+
+def descartes_variations(c: list[int]) -> int:
+    """min(2, the sign variations of (x+1)^n c(1/(x+1))), read off the
+    transform itself."""
+    transform = certify._shift_one(c[::-1])
+    return min(2, certify._variations([(x > 0) - (x < 0) for x in transform]))
+
+
+def test_descartes_count_matches_its_definition_on_seeded_lists():
+    # lengths 1 to 40, both signs of c[0], zero entries inside.  Half of
+    # the lists are drawn as c, and half as the transform, which is then
+    # shifted back by -1 and reversed, so that every count comes up.
+    # Length 1 is the node left when a midpoint root of a linear q is
+    # divided out.
+    rng = random.Random(1515)
+    seen = collections.Counter()
+    for trial in range(2400):
+        n = trial % 40
+        s, size, flip = rng.choice((-1, 1)), rng.choice((1, 9, 10**6)), rng.random() / 2
+        c = [s * rng.randint(1, size)]
+        for _ in range(n):
+            s = -s if rng.random() < flip else s
+            c.append(s * rng.randint(0, size))
+        if trial % 2:
+            t = c[::-1]  # the transform, led by c[0]
+            c = [sum(t[i] * math.comb(i, m) * (-1) ** (i - m) for i in range(m, n + 1))
+                 for m in range(n, -1, -1)]
+            assert certify._shift_one(c[::-1]) == t
+        got = certify._descartes_count(c)
+        assert got == descartes_variations(c), c
+        seen[got, c[0] > 0] += 1
+        seen["zero inside"] += 0 in c
+    assert min(seen[v, s] for v in (0, 1, 2) for s in (False, True)) >= 100, seen
+    assert seen["zero inside"] >= 500, seen
+
+
+def test_capped_walk_ends_at_its_depth_cap_on_a_non_dyadic_touch(monkeypatch):
+    # h(1, t) = -(3t - 1)^2 (t^2 + 1) touches zero at t = 1/3, which no
+    # bisection midpoint meets, so one node of every depth keeps its
+    # variations until the cap k + tau
+    q = certify._mul_int([-1, 6, -9], [1, 0, 1])
+    n, k, tau = len(q) - 1, certify._fujiwara_exponent(q), max(map(int.bit_length, q))
+    nodes = []
+    count = certify._descartes_count
+
+    def spy(c):
+        nodes.append(c)
+        return count(c)
+
+    monkeypatch.setattr(certify, "_descartes_count", spy)
+    assert list(certify._positive_roots(q, capped=True)) == [None]
+    assert len(nodes) <= 1 + 2 * n * (k + tau)
+    # the node that met the cap is q on the interval of width 2^-tau around
+    # 1/3, that is depth k + tau, up to a positive factor
+    j = (1 << tau) // 3
+    want = [sum(Fraction(c, 1 << (tau * i)) * math.comb(i, m) * j ** (i - m)
+                for i, c in enumerate(q) if i >= m) for m in range(n + 1)]
+    last = nodes[-1]
+    assert last[0] * want[0] > 0
+    assert all(a * want[0] == b * last[0] for a, b in zip(last, want))
+    assert not certify._descartes_negative(q)
+    # uncapped, on the squarefree part: one interval, around 1/3
+    [(a, b)] = certify._positive_roots(certify._squarefree(q)[0])
+    assert a < Fraction(1, 3) < b
+    # a touch at the midpoint t = 1/2 is met exactly
+    half = Fraction(1, 2)
+    q = certify._mul_int([-1, 4, -4], [1, 0, 1])
+    assert next(certify._positive_roots(q, capped=True)) == (half, half)
 
 
 def sturm_decision(ints: list[int]) -> tuple[bool, tuple | None]:
