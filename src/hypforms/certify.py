@@ -4,41 +4,34 @@ A form f of degree D >= 2 is hyperbolic when the quadratic form of its
 second partials is indefinite at every point away from the origin,
 equivalently when f_xx*f_yy - f_xy^2 is negative there.  Everything in
 this module decides signs exactly, on integers: hessian and polar_form run
-on the integer multiple of f that clears its denominators, and every sign
-decision reads the real roots of the squarefree part ps = p / gcd(p, p')
-through a counter N(t), which drops by one at each root, so that
-N(a) - N(b) counts the roots in (a, b].  One isolation walk on a counter
-serves counting, isolation, float rounding, rational touches and gap
-signs: _isolate bisects until each interval holds one root, running the
-counter once per bisection point, and _halve refines one root's interval.
-A bound p <= 0 on [0, 1] reads one sign of p in each gap between the roots
-isolated there; the strict bound p < 0 fails at the first of them.
-Fraction appears only where forms and polynomials enter and leave.
+on the integer multiple of f that clears its denominators, and every root
+count and sign decision reads the real roots of a squarefree part
+ps = p / gcd(p, p'), isolated by one Descartes walk, through a counter
+N(t), which drops by one at each root, so that N(a) - N(b) counts the roots
+in (a, b].  The heuristic GCD gives gcd(p, p') and ps with no remainder
+sequence.  The counter of an isolation serves counting, float rounding,
+rational touches and gap signs: it reads one sign of ps where a point falls
+inside an isolating interval, which it narrows in place; _isolate bisects
+until each interval holds one root, running the counter once per bisection
+point, and _halve refines one root's interval.  A bound p <= 0 on [0, 1]
+isolates the roots in (0, 1] only and reads one sign of p in each gap
+between them; the strict bound p < 0 fails at the first of them.  Fraction
+appears only where forms and polynomials enter and leave.
 
 Negativity of an even form reduces by homogeneity to one chart plus one
 extra point.  There one walk decides, bisection by Descartes' rule of signs
 on each half-line from a power-of-two Fujiwara root bound.  Capped, it is
 the accept test: it proves most negative forms cheaply, and only accepts.
-A form it cannot prove is decided by one isolation: the heuristic GCD
-gives gcd(p, p') and ps with no remainder sequence, the same walk uncapped
+A form it cannot prove is decided by one isolation: the same walk uncapped
 isolates the roots of ps, and the counter of that isolation, one sign of
 ps per point, places the witness.
-
-sturm_count, float_roots and is_nonpositive_on_unit_interval count on a
-Sturm chain instead: one signed primitive remainder sequence of p and p'
-(content stripped at every step), whose last term is gcd(p, p') and which,
-divided by that gcd, is a Sturm sequence of ps; its counter is the number
-of sign variations at t.  They count every root of a line f(1, t), which
-has many real roots and small coefficients, and there the isolation is the
-slower: on the 20 lines of the representatives of degree 41 it took 2.7
-times as long as the chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, inf, nextafter
 from operator import lshift, neg
@@ -50,11 +43,10 @@ from .core import (
 )
 
 # ---------------------------------------------------------------------------
-# remainder sequences on the integer kernel of core
+# integer polynomials on the kernel of core
 #
 # Polynomials are dense lists of ints, coeffs[i] * t^i, trailing zeros
-# stripped.  Keeping the chains integral and primitive bounds coefficient
-# growth.
+# stripped.
 # ---------------------------------------------------------------------------
 
 
@@ -66,24 +58,6 @@ def _content(p: list[int]) -> int:
 def _primitive(p: list[int]) -> list[int]:
     g = _content(p)
     return [c // g for c in p] if g > 1 else list(p)
-
-
-def _rem_signed(a: list[int], b: list[int]) -> list[int]:
-    """Positive rational multiple of the euclidean remainder a mod b."""
-    lead = b[-1]
-    scale, sign = abs(lead), (lead > 0) - (lead < 0)
-    r = list(a)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        top = sign * r[-1]
-        # cross-multiply by |lead| instead of dividing: each step is a
-        # positive multiple of the division step
-        r = [scale * c for c in r]
-        for j, bc in enumerate(b):
-            r[shift + j] -= top * bc
-        _trim(r)
-        r = _primitive(r)
-    return r
 
 
 def _divexact(a: list[int], b: list[int]) -> list[int]:
@@ -107,96 +81,16 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
     return _trim(q)
 
 
-def _prs(a: list[int], b: list[int]) -> list[list[int]]:
-    """Signed primitive remainder sequence a, b, -rem(a, b), ... of primitive
-    a and b.  Every term is a positive multiple of the classical signed
-    remainder, and the last term is gcd(a, b) up to sign."""
-    seq = [a, b]
-    while len(seq[-1]) > 1:
-        r = _rem_signed(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append([-c for c in r])
-    return seq
-
-
-def _sturm(p: list[int]) -> list[list[int]]:
-    """Sturm sequence of the squarefree part of p, which is its first term.
-
-    One signed remainder sequence of (p, p') gives it: its last term is
-    gcd(p, p'), and the sequence divided termwise by that gcd is a Sturm
-    sequence of p / gcd(p, p').  It counts the distinct roots of p in a
-    half-open interval (a, b] exactly, endpoints that are roots included.
-    """
-    p = _primitive(_trim(list(p)))
-    if len(p) <= 1:
-        return [p]
-    chain = _prs(p, _primitive(_deriv(p)))
-    g = chain[-1]
-    if len(g) > 1:
-        if g[-1] < 0:
-            g = [-c for c in g]
-        chain = [_divexact(q, g) for q in chain]
-    return chain
-
-
 def _sign_at(p: list[int], t: Fraction) -> int:
     """Sign of p at the rational t = num/den: the sign of den^n * p(t)."""
     v = _hom_eval(p, t.denominator, t.numerator)
     return (v > 0) - (v < 0)
 
 
-def _sign_at_inf(p: list[int], positive: bool) -> int:
-    s = (p[-1] > 0) - (p[-1] < 0)
-    if positive or (len(p) - 1) % 2 == 0:
-        return s
-    return -s
-
-
-def _variations(signs: list[int]) -> int:
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
-
-
-def _var_at(chain: list[list[int]], t: Fraction | None, positive_inf: bool = True) -> int:
-    if t is None:
-        return _variations([_sign_at_inf(p, positive_inf) for p in chain])
-    return _variations([_sign_at(p, t) for p in chain])
-
-
-def _count(counter: Callable[[Fraction], int], a: Fraction, b: Fraction) -> int:
-    """Distinct roots in the half-open interval (a, b]: counter(a) - counter(b),
-    for a counter N(t) that drops by one at each root (a Sturm chain's
-    partial(_var_at, chain), or _root_counter of an isolation)."""
-    return counter(a) - counter(b)
-
-
 def _int_coeffs(cs) -> list[int]:
     """Primitive integer model of the coefficients cs (a positive rational
     multiple, trailing zeros kept)."""
     return _primitive(_cleared(cs)[0])
-
-
-# ---------------------------------------------------------------------------
-# Sturm interface
-# ---------------------------------------------------------------------------
-
-def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None) -> int:
-    """Number of distinct real roots of p in (a, b]; a=None and b=None mean
-    -infinity and +infinity.  Multiple roots count once."""
-    if p.is_zero():
-        raise ValueError("root counting on the zero polynomial")
-    if a is not None and b is not None and a >= b:
-        raise ValueError("need a < b")
-    chain = _sturm(_int_coeffs(p.coeffs))
-    return _var_at(chain, a, positive_inf=False) - _var_at(chain, b, positive_inf=True)
 
 
 def _isolate(counter: Callable[[Fraction], int], lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
@@ -218,7 +112,7 @@ def _isolate(counter: Callable[[Fraction], int], lo: Fraction, hi: Fraction) -> 
 def _halve(counter: Callable[[Fraction], int], a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     """The half (a, m] or (m, b] of (a, b] that holds its single root."""
     m = (a + b) / 2
-    return (a, m) if _count(counter, a, m) else (m, b)
+    return (a, m) if counter(a) - counter(m) else (m, b)
 
 
 def _cauchy_bound(ps: list[int]) -> Fraction:
@@ -227,71 +121,6 @@ def _cauchy_bound(ps: list[int]) -> Fraction:
     on its exact value."""
     lead = abs(ps[-1])
     return Fraction(1) + max(Fraction(abs(c), lead) for c in ps)
-
-
-def float_roots(p: UniPoly) -> list[float]:
-    """The distinct real roots of p, ascending, each rounded to the nearest
-    float.  Each isolating interval (a, b] is bisected exactly until both
-    ends round to the same float; a root met exactly at an end is taken as
-    it is."""
-    if p.is_zero():
-        raise ValueError("root isolation on the zero polynomial")
-    chain = _sturm(_int_coeffs(p.coeffs))
-    ps = chain[0]
-    counter = partial(_var_at, chain)
-    bound = _cauchy_bound(ps)
-    out = []
-    for a, b in _isolate(counter, -bound, bound):
-        # halve until b is the root or both ends round to the same float or
-        # to neighbouring floats
-        while _sign_at(ps, b) != 0:
-            lo, hi = float(a), float(b)
-            if nextafter(lo, inf) < hi:
-                a, b = _halve(counter, a, b)
-                continue
-            if lo < hi:
-                # neighbouring floats: the root rounds to the one on its side
-                # of the rounding boundary m between them, or to m itself
-                m = (Fraction(lo) + Fraction(hi)) / 2
-                if _sign_at(ps, m) != 0:
-                    m = Fraction(lo) if _count(counter, a, m) else Fraction(hi)
-                b = m
-            break
-        out.append(float(b))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sign decisions on [0, 1]
-# ---------------------------------------------------------------------------
-
-def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
-    """Exact decision of p <= 0 (strict: p < 0) everywhere on [0, 1]."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    ints = _int_coeffs(p.coeffs)
-    top = max(ints[0], sum(ints))  # the larger of p(0) and p(1), up to a factor
-    if top > 0 or strict and top == 0:
-        return False
-    # p keeps one sign in each gap between its roots in [0, 1], so one
-    # nonzero sign per gap decides, and a strict bound fails at any root.
-    # Right of the last root it is p(1) < 0 (unless 1 is that root).  Left
-    # of each root it is read at the left end a of the root's isolating
-    # interval (a, b], or, when a is itself a root (0 or the root before),
-    # at the first point to which halving (a, b] moves a.
-    counter = partial(_var_at, _sturm(ints))
-    for a, b in _isolate(counter, Fraction(0), Fraction(1)):
-        if strict:
-            return False
-        s = _sign_at(ints, a)
-        if s == 0:
-            root = a
-            while a == root:
-                a, b = _halve(counter, a, b)
-            s = _sign_at(ints, a)
-        if s > 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +136,8 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
 # is the sign of q at the midpoint.  One walk, _positive_roots, runs capped
 # as the accept test and uncapped as the isolation.  The heuristic GCD of
 # Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989) gives the squarefree
-# part that the isolation needs.  The isolation counts like a Sturm chain:
-# _root_counter is a counter for _isolate, _halve and _count.
+# part that the isolation needs.  _root_counter makes the isolation a
+# counter for _isolate and _halve.
 # ---------------------------------------------------------------------------
 
 
@@ -318,7 +147,7 @@ def _fujiwara_exponent(q: list[int]) -> int:
     lengths.  The i-th roots keep it near the largest root when the leading
     coefficient is small; Cauchy's bound 1 + max |q[i] / q[n]| reaches
     about 2^234 on representatives with x and y swapped, and the bisection
-    below then costs more than the Sturm sequence."""
+    below then halves through about 230 levels that hold no root."""
     top = q[-1].bit_length()
     return 1 + max(-((top - 1 - c.bit_length()) // i)
                    for i, c in enumerate(reversed(q[:-1]), 1) if c)
@@ -389,8 +218,8 @@ def _digits(h: int, k: int) -> list[int]:
 
 def _squarefree(p: list[int]) -> tuple[list[int], list[int]]:
     """(p / g, g) for a primitive p of degree >= 1 and g = gcd(p, p'): the
-    squarefree part of p, which is the first term of _sturm(p), and the
-    part of p that holds its repeated roots."""
+    squarefree part of p, and the part of p that holds its repeated
+    roots."""
     g = _hgcd(p, _primitive(_deriv(p)))
     return _divexact(p, g), g
 
@@ -426,13 +255,14 @@ def _descartes_count(c: list[int]) -> int:
             return int(positive)
 
 
-def _positive_roots(q: list[int], capped: bool = False) -> Iterator[tuple[Fraction, Fraction] | None]:
-    """The roots t > 0 of q with q(0) != 0, in the order the walk finds them:
-    (a, b) holds one root strictly inside, and (m, m) is a root met exactly
-    at a bisection midpoint m.
+def _positive_roots(q: list[int], capped: bool = False,
+                    unit: bool = False) -> Iterator[tuple[Fraction, Fraction] | None]:
+    """The roots t > 0 of q with q(0) != 0, or with unit those in (0, 1), in
+    the order the walk finds them: (a, b) holds one root strictly inside,
+    and (m, m) is a root met exactly at a bisection midpoint m.
 
-    Bisection from the Fujiwara bound 2^k, with nodes q(2^e (j + x)) for x
-    in (0, 1); a node of depth k - e spans 2^e.  Uncapped, it is the
+    Bisection from the Fujiwara bound 2^k, or from 2^0 with unit, with
+    nodes q(2^e (j + x)) for x in (0, 1); a node of depth k - e spans 2^e.  Uncapped, it is the
     isolation of a squarefree q, which leaves 0 or 1 variations on every
     node narrow enough, so the walk ends.  Capped, it is the accept test: a
     node of depth k + tau, tau the bit size of q, that still has variations
@@ -447,14 +277,14 @@ def _positive_roots(q: list[int], capped: bool = False) -> Iterator[tuple[Fracti
     a root, so the capped walk visits at most 1 + 2n(k + tau) nodes."""
     if max(q) <= 0 if q[0] < 0 else min(q) >= 0:  # no sign variation on (0, infinity)
         return
-    k = _fujiwara_exponent(q)
+    k = 0 if unit else _fujiwara_exponent(q)
     cap = k + max(map(int.bit_length, q)) if capped else inf
     stack = [(_on_unit_interval(q, k), 0, k)]
     while stack:
         node, j, e = stack.pop()  # the node spans (j 2^e, (j + 1) 2^e)
         # q has variations on (0, infinity), and so nearly always on the
-        # root interval (0, 2^k): the root is split without a test
-        if e < k:
+        # Fujiwara interval (0, 2^k): that root is split without a test
+        if e < k or unit:
             v = _descartes_count(node)
             if v == 1:
                 yield _dyadic(j, e), _dyadic(j + 1, e)
@@ -481,46 +311,147 @@ def _descartes_negative(q: list[int]) -> bool:
     return next(_positive_roots(q, capped=True), False) is False
 
 
-def _real_roots(q: list[int]) -> list[list]:
-    """The real roots of the squarefree q with q(0) != 0, ascending, as
-    entries [a, b, s]: a == b is a root, else one root lies strictly inside
-    (a, b) and s is the sign of q just left of b.  b may itself be a root,
-    where q is 0, so s is read there on q'."""
-    alternated = list(q)
-    alternated[1::2] = map(neg, q[1::2])  # q(-t)
-    found = sorted([(-b, -a) for a, b in _positive_roots(alternated)] + list(_positive_roots(q)))
+def _real_roots(q: list[int], unit: bool = False) -> list[list]:
+    """The real roots of the squarefree q with q(0) != 0, or with unit those
+    in (0, 1], ascending, as entries [a, b, s]: a == b is a root, else one
+    root lies strictly inside (a, b) and s is the sign of q just left of b.
+    b may itself be a root, where q is 0, so s is read there on q'."""
+    if unit:
+        found = list(_positive_roots(q, unit=True))
+        if not sum(q):  # q(1)
+            found.append((Fraction(1), Fraction(1)))
+    else:
+        alternated = list(q)
+        alternated[1::2] = map(neg, q[1::2])  # q(-t)
+        found = [(-b, -a) for a, b in _positive_roots(alternated)] + list(_positive_roots(q))
     out = []
-    for a, b in found:
+    for a, b in sorted(found):
         s = 0 if a == b else _sign_at(q, b) or -_sign_at(_deriv(q), b)
         out.append([a, b, s])
     return out
 
 
+def _narrow(q: list[int], r: list, t: Fraction) -> bool:
+    """Narrow the entry r = [a, b, s] of the roots of q, a < t < b, to the
+    side of t that holds its root, by one sign of q; True when the root is
+    at most t."""
+    st = _sign_at(q, t)
+    if st == 0:
+        r[:] = t, t, 0
+    elif st == r[2]:  # t lies right of the root
+        r[1] = t
+    else:
+        r[0] = t
+        return False
+    return True
+
+
 def _root_counter(q: list[int], roots: list[list]) -> Callable[[Fraction], int]:
     """The counter N(t) = -#(roots of q <= t) of the isolation roots, which
-    it refines in place: when t falls inside an interval, one sign of q
-    says on which side of t its root lies."""
+    it narrows in place when t falls inside an interval."""
     def counter(t: Fraction) -> int:
         n = 0
         for r in roots:
-            a, b, s = r
-            if b <= t:
+            if r[1] <= t:
                 n += 1
-            elif a >= t:
+            elif r[0] >= t:
                 break
             else:
-                st = _sign_at(q, t)
-                if st == 0:
-                    r[:] = t, t, 0
-                    n += 1
-                elif st == s:  # t lies right of the root
-                    r[1] = t
-                    n += 1
-                else:
-                    r[0] = t
+                n += _narrow(q, r, t)
                 break
         return -n
     return counter
+
+
+# ---------------------------------------------------------------------------
+# root counts, floats and sign bounds of univariate polynomials
+# ---------------------------------------------------------------------------
+
+def _isolation(ints: list[int], unit: bool = False) -> tuple[list[int], list[list]]:
+    """(q, roots): the distinct real roots of the nonzero ints, or with unit
+    those in [0, 1], as the entries of _real_roots(q) for q the squarefree
+    part of ints with any factor t divided out, and a root t = 0 as the
+    entry [0, 0, 0].  The counter must read its signs on that same q: ps
+    and ps / t differ in sign on t < 0."""
+    zeros = next(i for i, c in enumerate(ints) if c)
+    q = ints[zeros:]
+    if len(q) > 1:
+        q = _squarefree(q)[0]
+    roots = _real_roots(q, unit)
+    if zeros:
+        roots = sorted(roots + [[Fraction(0), Fraction(0), 0]])
+    return q, roots
+
+
+def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None) -> int:
+    """Number of distinct real roots of p in (a, b]; a=None and b=None mean
+    -infinity and +infinity.  Multiple roots count once.  It counts on the
+    isolation, as every root count here does; the name is historical, and
+    no Sturm sequence is built."""
+    if p.is_zero():
+        raise ValueError("root counting on the zero polynomial")
+    if a is not None and b is not None and a >= b:
+        raise ValueError("need a < b")
+    q, roots = _isolation(_int_coeffs(p.coeffs))
+    counter = _root_counter(q, roots)
+    return (0 if a is None else counter(a)) - (-len(roots) if b is None else counter(b))
+
+
+def float_roots(p: UniPoly) -> list[float]:
+    """The distinct real roots of p, ascending, each rounded to the nearest
+    float.  Each isolating interval (a, b) is narrowed exactly until both
+    ends round to the same float or to neighbouring floats; a root met
+    exactly is taken as it is."""
+    if p.is_zero():
+        raise ValueError("root isolation on the zero polynomial")
+    q, roots = _isolation(_int_coeffs(p.coeffs))
+    out = []
+    for r in roots:
+        while r[0] != r[1] and nextafter(float(r[0]), inf) < float(r[1]):
+            _narrow(q, r, (r[0] + r[1]) / 2)
+        a, b, _ = r
+        lo, hi = float(a), float(b)
+        if lo < hi:
+            # neighbouring floats: the root rounds to the one on its side
+            # of the rounding boundary m between them, or to m itself; a
+            # rounds to lo and b to hi, so a <= m <= b
+            m = (Fraction(lo) + Fraction(hi)) / 2
+            if a < m < b:
+                _narrow(q, r, m)
+            if r[0] != r[1]:
+                r[1] = Fraction(lo) if r[1] <= m else Fraction(hi)
+        out.append(float(r[1]))
+    return out
+
+
+def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
+    """Exact decision of p <= 0 (strict: p < 0) everywhere on [0, 1]."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    ints = _int_coeffs(p.coeffs)
+    top = max(ints[0], sum(ints))  # the larger of p(0) and p(1), up to a factor
+    if top > 0 or strict and top == 0:
+        return False
+    ps, roots = _isolation(ints, unit=True)
+    if strict:
+        return not roots
+    # p keeps one sign in each gap between its roots in [0, 1], so one
+    # nonzero sign per gap decides.  Right of the last root it is p(1) < 0
+    # (unless 1 is that root).  Left of each root it is read at the left
+    # end a of the root's interval (a, b] in the walk of the counter, or,
+    # when a is itself a root (0 or the root before), at the first point to
+    # which halving (a, b] moves a.
+    counter = _root_counter(ps, roots)
+    for a, b in _isolate(counter, Fraction(0), Fraction(1)):
+        s = _sign_at(ints, a)
+        if s == 0:
+            root = a
+            while a == root:
+                a, b = _halve(counter, a, b)
+            s = _sign_at(ints, a)
+        if s > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Certification engine: Sturm counting, negativity decisions, witnesses.
+"""Certification engine: root counting, negativity decisions, witnesses.
 
 sympy is used as an independent oracle for real-root counting and for the
-definiteness decisions; the package itself never imports it.
+definiteness decisions; the package itself never imports it.  Where sympy
+is too slow for thousands of polynomials, a reference Sturm count written
+here, which shares no code with the package, is the oracle.
 """
 
 import collections
@@ -67,6 +69,86 @@ def unipolys(max_degree=7):
     return st.lists(small_rats, min_size=1, max_size=max_degree + 1).map(
         lambda cs: UniPoly(tuple(cs))
     )
+
+
+# ------------------------------------------------------ reference Sturm count
+#
+# Integer polynomials are lists of ints, lowest degree first.  The reference
+# takes the squarefree part p / gcd(p, p') by one remainder sequence, and
+# counts on the Sturm sequence of that part: p, p', then the negated
+# remainders.  Every remainder is made primitive, a positive factor, which
+# keeps its signs.
+
+
+def ref_sign(p: list[int], t: Fraction) -> int:
+    """The sign of d^deg(p) p(n/d) for t = n/d, by Horner."""
+    v, dk = 0, 1
+    for c in reversed(p):
+        v = v * t.numerator + c * dk
+        dk *= t.denominator
+    return (v > 0) - (v < 0)
+
+
+def ref_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, primitive."""
+    r = list(a)
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) >= len(b):
+        top, shift = sign * r[-1], len(r) - len(b)
+        r = [lead * c for c in r]
+        for j, c in enumerate(b):
+            r[shift + j] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
+        g = math.gcd(*r)
+        r = [c // g for c in r] if g > 1 else r
+    return r
+
+
+def ref_sequence(p: list[int]) -> list[list[int]]:
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        r = ref_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def ref_sturm(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of the squarefree part of the nonzero p."""
+    p = list(p)
+    while p[-1] == 0:
+        p.pop()
+    if len(p) == 1:
+        return [p]
+    g = [Fraction(c) for c in ref_sequence(p)[-1]]  # gcd(p, p'), up to a factor
+    r, q = [Fraction(c) for c in p], []
+    while len(r) >= len(g):
+        q.append(r[-1] / g[-1])
+        shift = len(r) - len(g)
+        for j, c in enumerate(g):
+            r[shift + j] -= q[-1] * c
+        r.pop()
+    assert not any(r)
+    den = math.lcm(*(c.denominator for c in q))
+    return ref_sequence([int(c * den) for c in reversed(q)])
+
+
+def ref_variations(seq: list[list[int]], t) -> int:
+    """The sign variations of the Sturm sequence seq at t, rational or
+    +-math.inf.  They drop by one at each distinct real root."""
+    def sign(c: list[int]) -> int:
+        if isinstance(t, float):
+            return (1 if c[-1] > 0 else -1) * (-1 if t < 0 and len(c) % 2 == 0 else 1)
+        return ref_sign(c, t)
+
+    signs = [x for x in map(sign, seq) if x]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def ref_counter(p: list[int]):
+    return partial(ref_variations, ref_sturm(p))
 
 
 # ------------------------------------------------------------------ sturm
@@ -135,16 +217,14 @@ def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, 
     assert sturm_count(p) == len(roots)
     if a < b:
         assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
-    chain = certify._sturm(certify._int_coeffs(p.coeffs))
-    walk = list(certify._isolate(partial(certify._var_at, chain), Fraction(-4), Fraction(4)))
+    ints = certify._int_coeffs(p.coeffs)
+    walk = list(certify._isolate(ref_counter(ints), Fraction(-4), Fraction(4)))
     for lo, hi in walk:
         assert sum(1 for r in roots if lo < r <= hi) == 1
-    # the isolation of the squarefree part counts as the chain does
-    ps = certify._squarefree(certify._int_coeffs(p.coeffs))[0]
-    assert ps == chain[0]
-    if ps[0]:  # the isolation needs q(0) != 0, as h(1, 0) < 0 gives it
-        isolation = certify._root_counter(ps, certify._real_roots(ps))
-        assert list(certify._isolate(isolation, Fraction(-4), Fraction(4))) == walk
+    # the isolation counts as the reference Sturm sequence does, a root at
+    # t = 0 included
+    isolation = certify._root_counter(*certify._isolation(certify._int_coeffs(p.coeffs)))
+    assert list(certify._isolate(isolation, Fraction(-4), Fraction(4))) == walk
     assert certify.float_roots(p) == [float(r) for r in roots]
 
 
@@ -162,21 +242,19 @@ def _splits(roots, a: Fraction, b: Fraction) -> int:
     return 1 + _splits(roots, a, m) + _splits(roots, m, b)
 
 
-def test_isolate_evaluates_the_chain_once_per_bisection_point(monkeypatch):
+def test_isolate_runs_the_counter_once_per_bisection_point():
     p = UniPoly.const(1)
     for root, m in ISOLATE_ROOTS.items():
         p = p * linear_power(root, m)
-    chain = certify._sturm(certify._int_coeffs(p.coeffs))
+    isolation = certify._root_counter(*certify._isolation(certify._int_coeffs(p.coeffs)))
     points = []
-    var_at = certify._var_at
 
-    def counted(chain, t, *args):
+    def counted(t):
         points.append(t)
-        return var_at(chain, t, *args)
+        return isolation(t)
 
-    monkeypatch.setattr(certify, "_var_at", counted)
     lo, hi = Fraction(-4), Fraction(4)
-    intervals = list(certify._isolate(partial(certify._var_at, chain), lo, hi))
+    intervals = list(certify._isolate(counted, lo, hi))
     splits = _splits(ISOLATE_ROOTS, lo, hi)
     assert splits >= 5
     assert len(points) == 2 + splits
@@ -197,10 +275,8 @@ def test_halve_keeps_the_half_with_the_root(root, half):
     # a double root next to a root outside (0, 1]: the walk runs on the
     # squarefree part
     p = linear_power(root, 2) * linear_power(Fraction(-5), 1)
-    chain = certify._sturm(certify._int_coeffs(p.coeffs))
-    assert certify._halve(partial(certify._var_at, chain), Fraction(0), Fraction(1)) == half
-    ps = chain[0]
-    assert certify._halve(certify._root_counter(ps, certify._real_roots(ps)), Fraction(0), Fraction(1)) == half
+    assert certify._halve(ref_counter(certify._int_coeffs(p.coeffs)), Fraction(0), Fraction(1)) == half
+    assert certify._halve(certify._root_counter(*certify._isolation(certify._int_coeffs(p.coeffs))), Fraction(0), Fraction(1)) == half
 
 
 def test_sturm_count_half_open_convention():
@@ -224,21 +300,12 @@ def test_divexact_rejects_an_inexact_division():
         certify._divexact([1, 0, 1], [1, 1])  # t^2 + 1 = (t + 1)(t - 1) + 2
 
 
-def test_sturm_chain_endpoints():
-    chain = certify._sturm([-2, 0, 1])  # t^2 - 2
-    ps = chain[0]
-    assert chain[0] == ps == [-2, 0, 1]
-
-
-def test_sturm_chain_starts_with_the_squarefree_part():
+def test_squarefree_part_of_repeated_roots():
     # (t - 1)^3 (t + 2)^2 / 5 has the primitive squarefree part (t - 1)(t + 2)
+    # and gcd(p, p') = (t - 1)^2 (t + 2)
     p = Fraction(1, 5) * (linear_power(Fraction(1), 3) * linear_power(Fraction(-2), 2))
-    chain = certify._sturm(certify._int_coeffs(p.coeffs))
-    ps = chain[0]
-    assert chain[0] == ps == [-2, 1, 1]
-    # the derivative divided by gcd(p, p') = (t - 1)^2 (t + 2), not ps'
-    assert chain[1] == [4, 5]
-    assert len(chain[-1]) == 1
+    assert certify._squarefree(certify._int_coeffs(p.coeffs)) == ([-2, 1, 1], [2, -3, 0, 1])
+    assert certify._squarefree([-2, 0, 1]) == ([-2, 0, 1], [1])  # t^2 - 2
 
 
 @pytest.mark.parametrize("root", [
@@ -376,27 +443,6 @@ def test_certificates_are_pinned():
     )
     assert certificate_digest(repeated) == (
         "d18dac3622121d24c75e4f6e26a99f5beb1f0d6ffcff386000e9adfedcd864fe"
-    )
-
-
-def test_remainder_sequences_are_pinned():
-    # every term of _prs(p, p') on 200 seeded primitive polynomials with a
-    # negative leading coefficient and a repeated root; the certificate pins
-    # above see verdicts and witnesses only, not the terms of the chains
-    rng = random.Random(1009)
-    chains = []
-    for _ in range(200):
-        factors = [
-            linear_power(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), m)
-            for m in [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
-        ]
-        if rng.random() < 0.5:
-            factors.append(UniPoly(tuple(Fraction(rng.randint(1, 9)) for _ in range(3))))
-        p = [-c for c in int_poly(factors)]
-        assert p[-1] < 0
-        chains.append(certify._prs(p, certify._primitive(certify._deriv(p))))
-    assert hashlib.sha256(json.dumps(chains).encode()).hexdigest() == (
-        "7d429ec525da1aa100d50b26693944f11561fb61c1e51c38f7667111bd9d679d"
     )
 
 
@@ -587,7 +633,7 @@ def test_repeated_line_rejections_carry_the_touch_as_witness(d, k):
         assert not cert.is_hyperbolic
         assert cert.witness == (Fraction(1), Fraction(1, s))
         assert target.eval(*cert.witness) == 0
-        ps = certify._sturm(certify._int_coeffs(target.coeffs))[0]
+        ps = certify._squarefree(certify._int_coeffs(target.coeffs))[0]
         assert abs(ps[-1]) > 10**9
 
 
@@ -601,8 +647,8 @@ def descartes_accepts(ints: list[int]) -> bool:
 
 
 def sturm_accepts(ints: list[int]) -> bool:
-    chain = certify._sturm(ints)
-    return certify._var_at(chain, None, False) == certify._var_at(chain, None, True)
+    counter = ref_counter(ints)
+    return counter(-math.inf) == counter(math.inf)
 
 
 def test_descartes_and_sturm_agree_on_seeded_targets():
@@ -655,21 +701,17 @@ def test_conjugate_pair_near_the_axis_is_accepted_by_the_isolation(monkeypatch):
         isolated.append(q)
         return inner(q)
 
-    def no_chain(*args):
-        raise AssertionError("a remainder sequence was built")
-
     monkeypatch.setattr(certify, "_real_roots", spy)
-    monkeypatch.setattr(certify, "_prs", no_chain)
     assert is_negative_form(h) == (True, None)
     assert isolated == [ints]  # ints is squarefree
 
 
-def test_accepting_pfact_81_builds_no_sturm_chain(monkeypatch):
-    # D = 81: both targets are accepted by bisection alone
-    def no_chain(p):
-        raise AssertionError("a Sturm chain was built")
+def test_accepting_pfact_81_runs_no_isolation(monkeypatch):
+    # D = 81: both targets are accepted by the capped walk alone
+    def no_isolation(p):
+        raise AssertionError("a squarefree part was built")
 
-    monkeypatch.setattr(certify, "_sturm", no_chain)
+    monkeypatch.setattr(certify, "_squarefree", no_isolation)
     certify._certify.cache_clear()
     f = p_factorized(40).form
     assert f.degree == 81
@@ -681,8 +723,8 @@ def test_accepting_pfact_81_builds_no_sturm_chain(monkeypatch):
 def descartes_variations(c: list[int]) -> int:
     """min(2, the sign variations of (x+1)^n c(1/(x+1))), read off the
     transform itself."""
-    transform = certify._shift_one(c[::-1])
-    return min(2, certify._variations([(x > 0) - (x < 0) for x in transform]))
+    signs = [x for x in certify._shift_one(c[::-1]) if x]
+    return min(2, sum(x * y < 0 for x, y in zip(signs, signs[1:])))
 
 
 def test_descartes_count_matches_its_definition_on_seeded_lists():
@@ -748,23 +790,22 @@ def test_capped_walk_ends_at_its_depth_cap_on_a_non_dyadic_touch(monkeypatch):
 
 
 def sturm_decision(ints: list[int]) -> tuple[bool, tuple | None]:
-    """is_negative_form after its accept test, decided on Sturm chains: the
-    chain of ints counts, isolates and refines its roots, and the chain of
-    gcd(ints, ints') refines a touch."""
-    chain = certify._sturm(ints)
-    if certify._var_at(chain, None, False) == certify._var_at(chain, None, True):
+    """is_negative_form after its accept test, decided on reference Sturm
+    sequences: that of ints counts, isolates and refines its roots, and
+    that of gcd(ints, ints') refines a touch."""
+    seq = ref_sturm(ints)
+    if ref_variations(seq, -math.inf) == ref_variations(seq, math.inf):
         return True, None
-    bound = certify._cauchy_bound(chain[0])
-    g = certify._divexact(ints, chain[0])
-    for a, b in certify._isolate(partial(certify._var_at, chain), -bound, bound):
-        if certify._sign_at(ints, b) >= 0:
+    bound = certify._cauchy_bound(seq[0])
+    touch = ref_sturm(ref_sequence(ints)[-1])
+    lead = abs(touch[0][-1])
+    for a, b in certify._isolate(partial(ref_variations, seq), -bound, bound):
+        if ref_sign(ints, b) >= 0:
             return False, (Fraction(1), b)
-        touch = certify._sturm(g)
-        lead = abs(touch[0][-1])
         while (b - a) * lead * lead >= 1:
-            a, b = certify._halve(partial(certify._var_at, touch), a, b)
+            a, b = certify._halve(partial(ref_variations, touch), a, b)
         c = ((a + b) / 2).limit_denominator(lead)
-        if certify._sign_at(touch[0], c) == 0:
+        if ref_sign(touch[0], c) == 0:
             return False, (Fraction(1), c)
     return False, None
 
@@ -855,13 +896,9 @@ def test_heuristic_gcd_matches_sympy_on_seeded_pairs(monkeypatch):
     assert grown >= 5
 
 
-def test_repeated_line_rejections_build_no_remainder_sequence(monkeypatch):
+def test_repeated_line_rejections_of_the_certify_workload():
     # the D = 31 l^2 * g forms of the certify workload: both routes reject
     # on the isolation of the squarefree part, with the touch as witness
-    def no_chain(*args):
-        raise AssertionError("a remainder sequence was built")
-
-    monkeypatch.setattr(certify, "_prs", no_chain)
     certify._certify.cache_clear()
     bases = representatives(29)
     for k in range(6):
@@ -930,9 +967,8 @@ def test_rational_root_matches_sympy_on_seeded_polynomials():
             r = rng.choice((2, 3, 5, 6, 7)) * c * c + rng.choice((0, c))
             factors.append(UniPoly((Fraction(-r), Fraction(0), Fraction(rng.choice((1, 4, 9))))))
         g = int_poly(factors)
-        chain = certify._sturm(g)
-        bound = certify._cauchy_bound(chain[0])
-        for a, b in certify._isolate(partial(certify._var_at, chain), -bound, bound):
+        bound = certify._cauchy_bound(ref_sturm(g)[0])
+        for a, b in certify._isolate(ref_counter(g), -bound, bound):
             want = rational_root_oracle(g, a, b)
             assert certify._rational_root(g, a, b) == want
             checked += 1
@@ -1041,15 +1077,15 @@ def test_unit_interval_matches_root_oracle(strict, sign):
     assert accepted > 0
 
 
-def test_unit_interval_runs_at_most_one_remainder_sequence(monkeypatch):
+def test_unit_interval_isolates_once_and_on_the_unit_interval_only(monkeypatch):
     calls = []
-    prs = certify._prs
+    real_roots = certify._real_roots
 
-    def counting_prs(a, b):
-        calls.append(len(a))
-        return prs(a, b)
+    def spy(q, unit=False):
+        calls.append(unit)
+        return real_roots(q, unit)
 
-    monkeypatch.setattr(certify, "_prs", counting_prs)
+    monkeypatch.setattr(certify, "_real_roots", spy)
     reached = 0
     for p, _ in unit_interval_products():
         for q, strict in itertools.product((p, -p), (False, True)):
@@ -1057,10 +1093,55 @@ def test_unit_interval_runs_at_most_one_remainder_sequence(monkeypatch):
             is_nonpositive_on_unit_interval(q, strict=strict)
             p0, p1 = q(0), q(1)
             ends_pass = p0 < 0 and p1 < 0 if strict else p0 <= 0 and p1 <= 0
-            # every product has degree >= 1: one sequence once both ends pass
-            assert len(calls) == int(ends_pass), (str(q), strict)
+            # one isolation on (0, 1] once both ends pass
+            assert calls == [True] * ends_pass, (str(q), strict)
             reached += ends_pass
     assert reached > 0
+
+
+def seeded_root_products(rng: random.Random):
+    """(p, roots, pairs): a product of (q*t - r)^m, m = 1, 2, 3, for distinct roots
+    r/q, mostly at 0, 1/3, 1/2 and 1, times at most two factors (a t - b)^2 + 1,
+    whose conjugate pair lies 1/a off the axis at b/a, with a up to 2^20,
+    times a nonzero rational; pairs counts those factors."""
+    grid = tuple(map(Fraction, ("0", "1/3", "1/2", "1")))
+    while True:
+        roots = set()
+        for _ in range(rng.randint(0, 4)):
+            roots.add(rng.choice(grid) if rng.random() < 0.7
+                      else Fraction(rng.randint(-12, 12), rng.randint(1, 7)))
+        p = UniPoly.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+        for r in roots:
+            p = p * linear_power(r, rng.randint(1, 3))
+        pairs = rng.randint(0, 2)
+        for _ in range(pairs):
+            a = 1 << rng.choice((1, 4, 10, 20))
+            b = rng.randint(-a // 2, 3 * a // 2)
+            p = p * UniPoly(tuple(map(Fraction, (b * b + 1, -2 * a * b, a * a))))
+        yield p, sorted(roots), pairs
+
+
+def test_root_counts_floats_and_unit_bounds_match_the_reference():
+    # sturm_count on windows whose ends are roots or not, float_roots, and
+    # both bounds on [0, 1] of p and -p, on 2,000 seeded products
+    rng = random.Random(1616)
+    windows = [(Fraction(a), Fraction(b)) for a, b in itertools.combinations(
+        ("-1", "0", "1/3", "2/5", "1/2", "1", "3"), 2)]
+    near_axis = touching = 0
+    for p, roots, pairs in itertools.islice(seeded_root_products(rng), 2000):
+        counter = ref_counter(certify._int_coeffs(p.coeffs))
+        assert counter(-math.inf) - counter(math.inf) == len(roots) == sturm_count(p)
+        for a, b in rng.sample(windows, 4):
+            assert sturm_count(p, a, b) == counter(a) - counter(b), (str(p), a, b)
+        assert sturm_count(p, None, Fraction(1, 2)) == counter(-math.inf) - counter(Fraction(1, 2))
+        assert sturm_count(p, Fraction(1, 3)) == counter(Fraction(1, 3)) - counter(math.inf)
+        assert certify.float_roots(p) == [float(r) for r in roots]
+        for q, strict in itertools.product((p, -p), (False, True)):
+            got = is_nonpositive_on_unit_interval(q, strict=strict)
+            assert got == unit_interval_oracle(q, roots, strict), (str(q), strict)
+        near_axis += pairs > 0
+        touching += any(r in (0, 1) for r in roots)
+    assert near_axis >= 500 and touching >= 500
 
 
 # ------------------------------------------------------------ product lemma
