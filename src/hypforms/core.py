@@ -505,6 +505,11 @@ def _parse_power(lx: _Lexer):
         n = _int(tok)
         if n > MAX_DEGREE:
             raise ParseError(f"exponent {n} is above the limit of {MAX_DEGREE}")
+        (i, j), c = next(iter(base.items()))
+        if len(base) == 1 and abs(c) == 1:  # a monomial such as x or -y
+            if (i + j) * n > MAX_DEGREE:
+                raise ParseError(f"degree above the limit of {MAX_DEGREE}")
+            return {(i * n, j * n): c**n}
         out = {(0, 0): Fraction(1)}
         for bit in bin(n)[2:]:  # square and multiply
             out = _bv_mul(out, out)

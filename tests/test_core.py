@@ -146,6 +146,18 @@ def test_parse_degree_limit():
             parse_form(bad)
 
 
+def test_parse_monomial_powers_match_products():
+    # a power of a monomial with coefficient +-1 is built in one step; it
+    # equals the repeated product and keeps the degree limit's message
+    for base in ("x", "(-y)", "(x*y)", "(-x*y^2)", "(-1)"):
+        for n in (0, 1, 2, 7, 32):
+            product = "*".join([base] * n + ["x^2"])
+            assert parse_form(f"{base}^{n}*x^2") == parse_form(product)
+    for bad in ("(x*y)^51", "(-x^2*y)^34"):
+        with pytest.raises(ParseError, match=f"^degree above the limit of {MAX_DEGREE}$"):
+            parse_form(bad)
+
+
 def test_parse_rejects_overlong_numeral():
     with pytest.raises(ParseError, match="too long"):
         parse_form("1" * 5000 + "*x^2")
