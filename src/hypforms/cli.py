@@ -62,8 +62,22 @@ def _cert_dict(cert: Certificate) -> dict:
     return {
         "verdict": cert.verdict,
         "method": cert.method,
-        "witness": None if w is None else [str(w[0]), str(w[1])],
+        "witness": None if w is None else _witness_text(w),
     }
+
+
+def _witness_text(w) -> list[str]:
+    """The witness coordinates as text.  A witness can have more digits than
+    the interpreter's int-to-str limit, which parse_form relies on to reject
+    long numerals, so the limit is lifted only while they are formatted."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit to lift
+        return [str(w[0]), str(w[1])]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(w[0]), str(w[1])]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _member_dict(m: FamilyMember) -> dict:

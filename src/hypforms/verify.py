@@ -56,7 +56,7 @@ DEFAULT_SEED = 20260816
 # MAX_DEGREE bounds.
 _SUITES = {
     "table1": ("d_max", 3, 16),
-    "conjecture": ("d_max", 3, 41),
+    "conjecture": ("d_max", 3, MAX_DEGREE),
     "lemmas": ("n_max", 11, None),
     "hessian_expansion": ("n_max", 2, 14),
     "equivalence": ("d_max", 3, 20),

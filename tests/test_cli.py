@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypforms import arnold, parse_form, polylines_to_csv, sturm_count
-from hypforms.certify import float_roots
+from hypforms.certify import Certificate, float_roots
 from hypforms import cli, verify
 from hypforms.cli import _line_directions, main
 
@@ -49,6 +49,24 @@ def test_check_rejection_carries_witness(capsys):
     assert doc["canonical"] == "x^4 - y^4"
     assert doc["hessian"]["verdict"] == "not_hyperbolic"
     assert doc["hessian"]["witness"] is not None
+
+
+def test_check_prints_a_witness_past_the_int_digit_limit(capsys, monkeypatch):
+    # a witness has no bound on its digits, unlike the parsed input; the
+    # interpreter's limit on int-to-str conversion (4300 digits by default)
+    # is lifted while it is formatted, and only then
+    sevens = 7 * (10**5000 - 1) // 9
+    wide = Certificate("not_hyperbolic", "hessian", 2, (Fraction(1), Fraction(sevens)))
+    monkeypatch.setattr(cli, "is_hyperbolic", lambda f: wide)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "check", "x^2 + y^2")
+    assert code == 1
+    assert json.loads(out)["hessian"]["witness"] == ["1", "7" * 5000]
+    assert "Traceback" not in err
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):
+            str(sevens)
 
 
 def test_check_parse_error(capsys):
@@ -218,7 +236,7 @@ def test_verify_range_violation(capsys):
     (("all", "--n-max", "100"), "n_max must be <= 49"),
     (("all", "--n-max", "1"), "n_max must be >= 11"),
     (("all", "--d-max", "17"), "d_max must be within 3..16"),
-    (("conjecture", "--d-max", "42"), "d_max must be within 3..41"),
+    (("conjecture", "--d-max", "101"), "d_max must be within 3..100"),
     (("lemmas", "--n-max", "50"), "n_max must be <= 49"),
 ])
 def test_verify_ranges_are_checked_before_any_suite_runs(capsys, monkeypatch, argv, message):
