@@ -262,9 +262,9 @@ def _positive_roots(q: list[int], capped: bool = False,
     and (m, m) is a root met exactly at a bisection midpoint m.
 
     Bisection from the Fujiwara bound 2^k, or from 2^0 with unit, with
-    nodes q(2^e (j + x)) for x in (0, 1); a node of depth k - e spans 2^e.  Uncapped, it is the
-    isolation of a squarefree q, which leaves 0 or 1 variations on every
-    node narrow enough, so the walk ends.  Capped, it is the accept test: a
+    nodes q(2^e (j + x)) for x in (0, 1); a node of depth k - e spans 2^e.
+    Uncapped, it is the isolation of a squarefree q, which leaves 0 or 1
+    variations on every node narrow enough, so the walk ends.  Capped, it is the accept test: a
     node of depth k + tau, tau the bit size of q, that still has variations
     yields None and ends the walk.  A conjugate pair of an integer
     quadratic with tau-bit coefficients lies more than 2^(-tau-1) off the
@@ -283,7 +283,8 @@ def _positive_roots(q: list[int], capped: bool = False,
     while stack:
         node, j, e = stack.pop()  # the node spans (j 2^e, (j + 1) 2^e)
         # q has variations on (0, infinity), and so nearly always on the
-        # Fujiwara interval (0, 2^k): that root is split without a test
+        # Fujiwara interval (0, 2^k): that node is split without a test,
+        # while (0, 1) is tested as any other
         if e < k or unit:
             v = _descartes_count(node)
             if v == 1:
@@ -386,8 +387,7 @@ def _isolation(ints: list[int], unit: bool = False) -> tuple[list[int], list[lis
 def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (a, b]; a=None and b=None mean
     -infinity and +infinity.  Multiple roots count once.  It counts on the
-    isolation, as every root count here does; the name is historical, and
-    no Sturm sequence is built."""
+    isolation; the name is historical."""
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
     if a is not None and b is not None and a >= b:
