@@ -6,17 +6,18 @@ equivalently when f_xx*f_yy - f_xy^2 is negative there.  Everything in
 this module decides signs exactly, on integers: hessian and polar_form run
 on the integer multiple of f that clears its denominators, and every root
 count and sign decision reads the real roots of a squarefree part
-ps = p / gcd(p, p'), isolated by one Descartes walk, through a counter
-N(t), which drops by one at each root, so that N(a) - N(b) counts the roots
-in (a, b].  The heuristic GCD gives gcd(p, p') and ps with no remainder
-sequence.  The counter of an isolation serves counting, float rounding,
-rational touches and gap signs: it reads one sign of ps where a point falls
-inside an isolating interval, which it narrows in place; _isolate bisects
-until each interval holds one root, running the counter once per bisection
-point, and _halve refines one root's interval.  A bound p <= 0 on [0, 1]
-isolates the roots in (0, 1] only and reads one sign of p in each gap
-between them; the strict bound p < 0 fails at the first of them.  Fraction
-appears only where forms and polynomials enter and leave.
+ps = p / gcd(p, p'), isolated by one Descartes walk.  The heuristic GCD
+gives gcd(p, p') and ps with no remainder sequence.  _isolation is the one
+entry point: each of its entries [a, b, s] holds one root, and _narrow
+refines an entry by one sign of ps at a point inside it, for float
+rounding, rational touches and the [0, 1] bound.  A counter N(t) of the
+entries, which drops by one at each root, so that N(a) - N(b) counts the
+roots in (a, b], serves the windows of sturm_count and the walk of
+_isolate, whose path from the Cauchy bound places a rejection witness.  A
+bound p <= 0 on [0, 1] isolates the roots in [0, 1] only and reads one
+sign of p between each pair of adjacent entries; the strict bound p < 0
+fails at the first entry.  Fraction appears only where forms and
+polynomials enter and leave.
 
 Negativity of an even form reduces by homogeneity to one chart plus one
 extra point.  There one walk decides, bisection by Descartes' rule of signs
@@ -109,12 +110,6 @@ def _isolate(counter: Callable[[Fraction], int], lo: Fraction, hi: Fraction) -> 
             stack.append((a, va, m, vm))
 
 
-def _halve(counter: Callable[[Fraction], int], a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """The half (a, m] or (m, b] of (a, b] that holds its single root."""
-    m = (a + b) / 2
-    return (a, m) if counter(a) - counter(m) else (m, b)
-
-
 def _cauchy_bound(ps: list[int]) -> Fraction:
     """Every root of ps lies inside (-bound, bound].  Rejection witnesses
     are endpoints of the intervals isolated from this bound, so they depend
@@ -137,7 +132,7 @@ def _cauchy_bound(ps: list[int]) -> Fraction:
 # as the accept test and uncapped as the isolation.  The heuristic GCD of
 # Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989) gives the squarefree
 # part that the isolation needs.  _root_counter makes the isolation a
-# counter for _isolate and _halve.
+# counter for _isolate.
 # ---------------------------------------------------------------------------
 
 
@@ -312,26 +307,6 @@ def _descartes_negative(q: list[int]) -> bool:
     return next(_positive_roots(q, capped=True), False) is False
 
 
-def _real_roots(q: list[int], unit: bool = False) -> list[list]:
-    """The real roots of the squarefree q with q(0) != 0, or with unit those
-    in (0, 1], ascending, as entries [a, b, s]: a == b is a root, else one
-    root lies strictly inside (a, b) and s is the sign of q just left of b.
-    b may itself be a root, where q is 0, so s is read there on q'."""
-    if unit:
-        found = list(_positive_roots(q, unit=True))
-        if not sum(q):  # q(1)
-            found.append((Fraction(1), Fraction(1)))
-    else:
-        alternated = list(q)
-        alternated[1::2] = map(neg, q[1::2])  # q(-t)
-        found = [(-b, -a) for a, b in _positive_roots(alternated)] + list(_positive_roots(q))
-    out = []
-    for a, b in sorted(found):
-        s = 0 if a == b else _sign_at(q, b) or -_sign_at(_deriv(q), b)
-        out.append([a, b, s])
-    return out
-
-
 def _narrow(q: list[int], r: list, t: Fraction) -> bool:
     """Narrow the entry r = [a, b, s] of the roots of q, a < t < b, to the
     side of t that holds its root, by one sign of q; True when the root is
@@ -368,20 +343,34 @@ def _root_counter(q: list[int], roots: list[list]) -> Callable[[Fraction], int]:
 # root counts, floats and sign bounds of univariate polynomials
 # ---------------------------------------------------------------------------
 
-def _isolation(ints: list[int], unit: bool = False) -> tuple[list[int], list[list]]:
-    """(q, roots): the distinct real roots of the nonzero ints, or with unit
-    those in [0, 1], as the entries of _real_roots(q) for q the squarefree
-    part of ints with any factor t divided out, and a root t = 0 as the
-    entry [0, 0, 0].  The counter must read its signs on that same q: ps
-    and ps / t differ in sign on t < 0."""
+def _isolation(ints: list[int], unit: bool = False) -> tuple[list[int], list[int], list[list]]:
+    """(q, g, roots) for the nonzero ints = t^z r with r(0) != 0: q = r / g
+    is the squarefree part of r and g = gcd(r, r'), and roots are the
+    distinct real roots of ints, or with unit those in [0, 1], ascending, as
+    entries [a, b, s]: a == b is a root, else one root lies strictly inside
+    (a, b) and s is the sign of q just left of b.  b may itself be the root
+    of the next entry, where q is 0, so s is read there on q'.  A root t = 0
+    is the entry [0, 0, 0].  Signs of an entry are read on q: q and t q
+    differ in sign on t < 0."""
     zeros = next(i for i, c in enumerate(ints) if c)
-    q = ints[zeros:]
+    q, g = ints[zeros:], [1]
     if len(q) > 1:
-        q = _squarefree(q)[0]
-    roots = _real_roots(q, unit)
+        q, g = _squarefree(q)
+    if unit:
+        found = list(_positive_roots(q, unit=True))
+        if not sum(q):  # q(1)
+            found.append((Fraction(1), Fraction(1)))
+    else:
+        alternated = list(q)
+        alternated[1::2] = map(neg, q[1::2])  # q(-t)
+        found = [(-b, -a) for a, b in _positive_roots(alternated)] + list(_positive_roots(q))
     if zeros:
-        roots = sorted(roots + [[Fraction(0), Fraction(0), 0]])
-    return q, roots
+        found.append((Fraction(0), Fraction(0)))
+    roots = []
+    for a, b in sorted(found):
+        s = 0 if a == b else _sign_at(q, b) or -_sign_at(_deriv(q), b)
+        roots.append([a, b, s])
+    return q, g, roots
 
 
 def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None) -> int:
@@ -392,7 +381,7 @@ def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None
         raise ValueError("root counting on the zero polynomial")
     if a is not None and b is not None and a >= b:
         raise ValueError("need a < b")
-    q, roots = _isolation(_int_coeffs(p.coeffs))
+    q, _, roots = _isolation(_int_coeffs(p.coeffs))
     counter = _root_counter(q, roots)
     return (0 if a is None else counter(a)) - (-len(roots) if b is None else counter(b))
 
@@ -404,7 +393,7 @@ def float_roots(p: UniPoly) -> list[float]:
     exactly is taken as it is."""
     if p.is_zero():
         raise ValueError("root isolation on the zero polynomial")
-    q, roots = _isolation(_int_coeffs(p.coeffs))
+    q, _, roots = _isolation(_int_coeffs(p.coeffs))
     out = []
     for r in roots:
         while r[0] != r[1] and nextafter(float(r[0]), inf) < float(r[1]):
@@ -432,23 +421,19 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
     top = max(ints[0], sum(ints))  # the larger of p(0) and p(1), up to a factor
     if top > 0 or strict and top == 0:
         return False
-    ps, roots = _isolation(ints, unit=True)
+    ps, _, roots = _isolation(ints, unit=True)
     if strict:
         return not roots
     # p keeps one sign in each gap between its roots in [0, 1], so one
-    # nonzero sign per gap decides.  Right of the last root it is p(1) < 0
-    # (unless 1 is that root).  Left of each root it is read at the left
-    # end a of the root's interval (a, b] in the walk of the counter, or,
-    # when a is itself a root (0 or the root before), at the first point to
-    # which halving (a, b] moves a.
-    counter = _root_counter(ps, roots)
-    for a, b in _isolate(counter, Fraction(0), Fraction(1)):
-        s = _sign_at(ints, a)
-        if s == 0:
-            root = a
-            while a == root:
-                a, b = _halve(counter, a, b)
-            s = _sign_at(ints, a)
+    # sign per gap decides.  A gap at an end of [0, 1] holds that end, no
+    # root, so p < 0 there by the test above; the other gaps are read at
+    # the midpoint between two adjacent entries.  Two entries share an end
+    # only where the walk split a node, and it is a root only when one of
+    # them is that root exactly: the other is narrowed until they part.
+    for r, u in zip(roots, roots[1:]):
+        while not (s := _sign_at(ints, (r[1] + u[0]) / 2)):
+            v = u if r[0] == r[1] else r
+            _narrow(ps, v, (v[0] + v[1]) / 2)
         if s > 0:
             return False
     return True
@@ -489,8 +474,7 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
     if (sum(ints) < 0 and sum(alternated) < 0
             and _descartes_negative(ints) and _descartes_negative(alternated)):
         return True, None
-    ps, g = _squarefree(ints)
-    roots = _real_roots(ps)
+    ps, g, roots = _isolation(ints)
     if not roots:
         return True, None
     return False, _root_witness(ints, ps, g, _root_counter(ps, roots))
@@ -524,15 +508,15 @@ def _rational_root(g: list[int], a: Fraction, b: Fraction) -> Fraction | None:
     L = |lead(gs)|, and two distinct rationals with denominators <= L lie at
     least 1/L^2 apart.  Once (a, b] is narrower than 1/L^2, the root is the
     rational with denominator <= L nearest to its midpoint, or is irrational.
-    (a, b] is halved by one sign of gs per step.
+    _narrow halves (a, b] by one sign of gs per step.
     """
     gs = _squarefree(g)[0]
     lead = abs(gs[-1])
     s = _sign_at(gs, b)
-    counter = _root_counter(gs, [[a, b, s] if s else [b, b, 0]])
-    while (b - a) * lead * lead >= 1:
-        a, b = _halve(counter, a, b)
-    c = ((a + b) / 2).limit_denominator(lead)
+    r = [a, b, s] if s else [b, b, 0]
+    while (r[1] - r[0]) * lead * lead >= 1:
+        _narrow(gs, r, (r[0] + r[1]) / 2)
+    c = ((r[0] + r[1]) / 2).limit_denominator(lead)
     return c if _sign_at(gs, c) == 0 else None
 
 

@@ -415,7 +415,6 @@ MAX_NESTING = 100
 # homogeneity can be checked once at the end.  Cancelled monomials stay in
 # with coefficient 0, so "0*x^3" keeps its degree 3; a zero constant term is
 # homogeneous of every degree and is dropped from a sum with other monomials.
-_Bivar = dict
 
 
 def _degree(a) -> int:

@@ -77,7 +77,8 @@ def unipolys(max_degree=7):
 # takes the squarefree part p / gcd(p, p') by one remainder sequence, and
 # counts on the Sturm sequence of that part: p, p', then the negated
 # remainders.  Every remainder is made primitive, a positive factor, which
-# keeps its signs.
+# keeps its signs.  ref_isolate and ref_halve bisect on such a count, so the
+# oracles of walks and witnesses share no walk with the package either.
 
 
 def ref_sign(p: list[int], t: Fraction) -> int:
@@ -151,6 +152,31 @@ def ref_counter(p: list[int]):
     return partial(ref_variations, ref_sturm(p))
 
 
+def ref_cauchy_bound(p: list[int]) -> Fraction:
+    """1 + max |p[i] / lead(p)|: every root of p lies inside (-bound, bound]."""
+    return 1 + max(Fraction(abs(c), abs(p[-1])) for c in p)
+
+
+def ref_isolate(counter, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """The pieces (a, b] of the bisection of (lo, hi] that hold one root
+    counted by counter, ascending; a piece with more is halved again."""
+    def split(a, va, b, vb):
+        if va == vb:
+            return []
+        if va - vb == 1:
+            return [(a, b)]
+        m = (a + b) / 2
+        vm = counter(m)
+        return split(a, va, m, vm) + split(m, vm, b, vb)
+    return split(lo, counter(lo), hi, counter(hi))
+
+
+def ref_halve(counter, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """The half (a, m] or (m, b] of (a, b] that holds its one root."""
+    m = (a + b) / 2
+    return (a, m) if counter(a) - counter(m) else (m, b)
+
+
 # ------------------------------------------------------------------ sturm
 
 
@@ -218,13 +244,13 @@ def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, 
     if a < b:
         assert sturm_count(p, a, b) == sum(1 for r in roots if a < r <= b)
     ints = certify._int_coeffs(p.coeffs)
-    walk = list(certify._isolate(ref_counter(ints), Fraction(-4), Fraction(4)))
+    walk = ref_isolate(ref_counter(ints), Fraction(-4), Fraction(4))
     for lo, hi in walk:
         assert sum(1 for r in roots if lo < r <= hi) == 1
     # the isolation counts as the reference Sturm sequence does, a root at
     # t = 0 included
-    isolation = certify._root_counter(*certify._isolation(certify._int_coeffs(p.coeffs)))
-    assert list(certify._isolate(isolation, Fraction(-4), Fraction(4))) == walk
+    q, _, entries = certify._isolation(ints)
+    assert list(certify._isolate(certify._root_counter(q, entries), Fraction(-4), Fraction(4))) == walk
     assert certify.float_roots(p) == [float(r) for r in roots]
 
 
@@ -246,7 +272,8 @@ def test_isolate_runs_the_counter_once_per_bisection_point():
     p = UniPoly.const(1)
     for root, m in ISOLATE_ROOTS.items():
         p = p * linear_power(root, m)
-    isolation = certify._root_counter(*certify._isolation(certify._int_coeffs(p.coeffs)))
+    q, _, roots = certify._isolation(certify._int_coeffs(p.coeffs))
+    isolation = certify._root_counter(q, roots)
     points = []
 
     def counted(t):
@@ -265,18 +292,24 @@ def test_isolate_runs_the_counter_once_per_bisection_point():
     assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
 
 
-@pytest.mark.parametrize("root, half", [
-    (Fraction(1, 3), (Fraction(0), Fraction(1, 2))),
-    (Fraction(1, 2), (Fraction(0), Fraction(1, 2))),  # the midpoint is in (a, m]
-    (Fraction(2, 3), (Fraction(1, 2), Fraction(1))),
-    (Fraction(1), (Fraction(1, 2), Fraction(1))),
+@pytest.mark.parametrize("root, at_one, narrowed, at_most", [
+    (Fraction(1, 3), False, (Fraction(0), Fraction(1, 2)), True),
+    (Fraction(1, 2), False, (Fraction(1, 2), Fraction(1, 2)), True),  # t is the root
+    (Fraction(2, 3), False, (Fraction(1, 2), Fraction(1)), False),
+    (Fraction(3, 4), True, (Fraction(1, 2), Fraction(1)), False),
 ])
-def test_halve_keeps_the_half_with_the_root(root, half):
-    # a double root next to a root outside (0, 1]: the walk runs on the
-    # squarefree part
-    p = linear_power(root, 2) * linear_power(Fraction(-5), 1)
-    assert certify._halve(ref_counter(certify._int_coeffs(p.coeffs)), Fraction(0), Fraction(1)) == half
-    assert certify._halve(certify._root_counter(*certify._isolation(certify._int_coeffs(p.coeffs))), Fraction(0), Fraction(1)) == half
+def test_narrow_keeps_the_side_with_the_root(root, at_one, narrowed, at_most):
+    # the entry (0, 1) of one root of the squarefree q, which has another at
+    # -5 and, with at_one, one at the end b = 1; s is the sign of q just
+    # left of b, read between the root and 1
+    p = linear_power(root, 1) * linear_power(Fraction(-5), 1)
+    if at_one:
+        p = p * linear_power(Fraction(1), 1)
+    q = certify._int_coeffs(p.coeffs)
+    s = ref_sign(q, (root + 1) / 2)
+    entry = [Fraction(0), Fraction(1), s]
+    assert certify._narrow(q, entry, Fraction(1, 2)) == at_most
+    assert entry == [*narrowed, 0 if narrowed[0] == narrowed[1] else s]
 
 
 def test_sturm_count_half_open_convention():
@@ -695,15 +728,16 @@ def test_conjugate_pair_near_the_axis_is_accepted_by_the_isolation(monkeypatch):
     assert sympy_slice(h).count_roots() == 0
     assert not certify._descartes_negative(ints)
     isolated = []
-    inner = certify._real_roots
+    inner = certify._isolation
 
-    def spy(q):
-        isolated.append(q)
-        return inner(q)
+    def spy(p, unit=False):
+        q, g, roots = inner(p, unit)
+        isolated.append((p, unit, q, g, roots))
+        return q, g, roots
 
-    monkeypatch.setattr(certify, "_real_roots", spy)
+    monkeypatch.setattr(certify, "_isolation", spy)
     assert is_negative_form(h) == (True, None)
-    assert isolated == [ints]  # ints is squarefree
+    assert isolated == [(ints, False, ints, [1], [])]  # ints is squarefree
 
 
 def test_accepting_pfact_81_runs_no_isolation(monkeypatch):
@@ -796,14 +830,14 @@ def sturm_decision(ints: list[int]) -> tuple[bool, tuple | None]:
     seq = ref_sturm(ints)
     if ref_variations(seq, -math.inf) == ref_variations(seq, math.inf):
         return True, None
-    bound = certify._cauchy_bound(seq[0])
+    bound = ref_cauchy_bound(seq[0])
     touch = ref_sturm(ref_sequence(ints)[-1])
     lead = abs(touch[0][-1])
-    for a, b in certify._isolate(partial(ref_variations, seq), -bound, bound):
+    for a, b in ref_isolate(partial(ref_variations, seq), -bound, bound):
         if ref_sign(ints, b) >= 0:
             return False, (Fraction(1), b)
         while (b - a) * lead * lead >= 1:
-            a, b = certify._halve(partial(ref_variations, touch), a, b)
+            a, b = ref_halve(partial(ref_variations, touch), a, b)
         c = ((a + b) / 2).limit_denominator(lead)
         if ref_sign(touch[0], c) == 0:
             return False, (Fraction(1), c)
@@ -967,8 +1001,8 @@ def test_rational_root_matches_sympy_on_seeded_polynomials():
             r = rng.choice((2, 3, 5, 6, 7)) * c * c + rng.choice((0, c))
             factors.append(UniPoly((Fraction(-r), Fraction(0), Fraction(rng.choice((1, 4, 9))))))
         g = int_poly(factors)
-        bound = certify._cauchy_bound(ref_sturm(g)[0])
-        for a, b in certify._isolate(ref_counter(g), -bound, bound):
+        bound = ref_cauchy_bound(ref_sturm(g)[0])
+        for a, b in ref_isolate(ref_counter(g), -bound, bound):
             want = rational_root_oracle(g, a, b)
             assert certify._rational_root(g, a, b) == want
             checked += 1
@@ -1078,14 +1112,24 @@ def test_unit_interval_matches_root_oracle(strict, sign):
 
 
 def test_unit_interval_isolates_once_and_on_the_unit_interval_only(monkeypatch):
-    calls = []
-    real_roots = certify._real_roots
+    calls, narrowed = [], []
+    isolation, narrow = certify._isolation, certify._narrow
 
-    def spy(q, unit=False):
+    def spy(ints, unit=False):
         calls.append(unit)
-        return real_roots(q, unit)
+        return isolation(ints, unit)
 
-    monkeypatch.setattr(certify, "_real_roots", spy)
+    def narrow_spy(q, r, t):
+        narrowed.append(t)
+        return narrow(q, r, t)
+
+    def walk(*args):
+        raise AssertionError("a bound walked a counter")
+
+    monkeypatch.setattr(certify, "_isolation", spy)
+    monkeypatch.setattr(certify, "_narrow", narrow_spy)
+    monkeypatch.setattr(certify, "_root_counter", walk)
+    monkeypatch.setattr(certify, "_isolate", walk)
     reached = 0
     for p, _ in unit_interval_products():
         for q, strict in itertools.product((p, -p), (False, True)):
@@ -1093,10 +1137,13 @@ def test_unit_interval_isolates_once_and_on_the_unit_interval_only(monkeypatch):
             is_nonpositive_on_unit_interval(q, strict=strict)
             p0, p1 = q(0), q(1)
             ends_pass = p0 < 0 and p1 < 0 if strict else p0 <= 0 and p1 <= 0
-            # one isolation on (0, 1] once both ends pass
+            # one isolation on [0, 1] once both ends pass
             assert calls == [True] * ends_pass, (str(q), strict)
             reached += ends_pass
     assert reached > 0
+    # entries touch at a root met exactly, such as 1/2 next to (0, 1/2)
+    # around 1/3, and the other entry is narrowed until they part
+    assert narrowed
 
 
 def seeded_root_products(rng: random.Random):

@@ -14,9 +14,10 @@ only.
 
 The commands are `verify all` at the default ranges and with
 `--d-max 9 --n-max 12`, `lemma1`, `check` and `index` of every
-representative with D <= 12, the `family` examples of the README and one
-of each other kind, and the SVG and CSV of the default figures of four
-forms.  Wall times are the only outputs that change from run to run, so
+representative with D <= 12, `check` of one rejection for each way a
+witness is found, the `family` examples of the README and one of each
+other kind, and the SVG and CSV of the default figures of four forms, 87
+commands in all.  Wall times are the only outputs that change from run to run, so
 `wall_time` is dropped from the verify reports and the seconds from their
 stderr summary lines.
 """
@@ -40,6 +41,16 @@ FAMILY_ARGS = (
     ("g", "3"),
     ("f", "1", "2"),
     ("f", "2", "1", "--even"),
+)
+# The representatives are all hyperbolic, so these carry the witness bytes:
+# ends of isolating intervals from the Cauchy bound (-179/204 on the
+# Hessian route, -163/102 on the polar route), rational touches at 1/3 and
+# 7/5, and an irrational touch, whose witness is null.
+REJECTIONS = (
+    "x^4 - 2*x^2*y^2 + 3*y^4 - x*y^3",
+    "(3*y - x)^2*(x^3 - 3*x*y^2)",
+    "(5*y - 7*x)^2*(x^5 - 10*x^3*y^2 + 5*x*y^4)",
+    "(y^2 - 2*x^2)^2*(x^3 - 3*x*y^2)",
 )
 FIGURE_FORMS = (
     "x*(x^2 - y^2)",
@@ -93,6 +104,7 @@ def main(argv: list[str]) -> int:
             for mem in families.representatives(d):
                 text = str(mem.form)
                 commands += [["check", text], ["index", text]]
+    commands += [["check", text] for text in REJECTIONS]
     commands += [["family", *args] for args in FAMILY_ARGS]
     for poly in FIGURE_FORMS:
         for suffix in (".svg", ".csv"):
