@@ -10,22 +10,23 @@ ps = p / gcd(p, p'), isolated by one Descartes walk.  The heuristic GCD
 gives gcd(p, p') and ps with no remainder sequence.  _isolation is the one
 entry point: each of its entries [a, b, s] holds one root, and _narrow
 refines an entry by one sign of ps at a point inside it, for float
-rounding, rational touches and the [0, 1] bound.  A counter N(t) of the
-entries, which drops by one at each root, so that N(a) - N(b) counts the
-roots in (a, b], serves the windows of sturm_count and the walk of
-_isolate, whose path from the Cauchy bound places a rejection witness.  A
-bound p <= 0 on [0, 1] isolates the roots in [0, 1] only and reads one
-sign of p between each pair of adjacent entries; the strict bound p < 0
-fails at the first entry.  Fraction appears only where forms and
-polynomials enter and leave.
+rounding, rational touches and the [0, 1] bound.  The rank of t, the
+number of entries whose root is at most t, narrows the entry that t falls
+inside; rank(b) - rank(a) counts the roots in (a, b].  It serves the
+windows of sturm_count and the bisection whose path from the Cauchy bound
+places a rejection witness.  float_roots halves each entry until both its
+ends round to one float.  A bound p <= 0 on [0, 1] isolates the roots in
+[0, 1] only and reads one sign of p between each pair of adjacent entries;
+the strict bound p < 0 fails at the first entry.  Fraction appears only
+where forms and polynomials enter and leave.
 
 Negativity of an even form reduces by homogeneity to one chart plus one
 extra point.  There one walk decides, bisection by Descartes' rule of signs
 on each half-line from a power-of-two Fujiwara root bound.  Capped, it is
 the accept test: it proves most negative forms cheaply, and only accepts.
 A form it cannot prove is decided by one isolation: the same walk uncapped
-isolates the roots of ps, and the counter of that isolation, one sign of
-ps per point, places the witness.
+isolates the roots of ps, and the ranks on that isolation, one sign of ps
+per point, place the witness.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, inf, nextafter
+from math import gcd, inf
 from operator import lshift, neg
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import (
     BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly,
@@ -94,26 +95,10 @@ def _int_coeffs(cs) -> list[int]:
     return _primitive(_cleared(cs)[0])
 
 
-def _isolate(counter: Callable[[Fraction], int], lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], ascending, each holding one root
-    counted by counter in (lo, hi].  The count at both ends of an interval
-    rides on the stack, so the counter runs once per bisection point."""
-    stack = [(lo, counter(lo), hi, counter(hi))]
-    while stack:
-        a, va, b, vb = stack.pop()
-        if va - vb == 1:
-            yield a, b
-        elif va - vb > 1:
-            m = (a + b) / 2
-            vm = counter(m)
-            stack.append((m, vm, b, vb))
-            stack.append((a, va, m, vm))
-
-
 def _cauchy_bound(ps: list[int]) -> Fraction:
-    """Every root of ps lies inside (-bound, bound].  Rejection witnesses
-    are endpoints of the intervals isolated from this bound, so they depend
-    on its exact value."""
+    """Every root of ps lies strictly inside (-bound, bound).  Rejection
+    witnesses are endpoints of the intervals isolated from this bound, so
+    they depend on its exact value."""
     lead = abs(ps[-1])
     return Fraction(1) + max(Fraction(abs(c), lead) for c in ps)
 
@@ -131,8 +116,8 @@ def _cauchy_bound(ps: list[int]) -> Fraction:
 # is the sign of q at the midpoint.  One walk, _positive_roots, runs capped
 # as the accept test and uncapped as the isolation.  The heuristic GCD of
 # Char, Geddes and Gonnet (J. Symb. Comput. 7, 1989) gives the squarefree
-# part that the isolation needs.  _root_counter makes the isolation a
-# counter for _isolate.
+# part that the isolation needs.  _rank counts the entries of the
+# isolation up to a point.
 # ---------------------------------------------------------------------------
 
 
@@ -322,21 +307,13 @@ def _narrow(q: list[int], r: list, t: Fraction) -> bool:
     return True
 
 
-def _root_counter(q: list[int], roots: list[list]) -> Callable[[Fraction], int]:
-    """The counter N(t) = -#(roots of q <= t) of the isolation roots, which
-    it narrows in place when t falls inside an interval."""
-    def counter(t: Fraction) -> int:
-        n = 0
-        for r in roots:
-            if r[1] <= t:
-                n += 1
-            elif r[0] >= t:
-                break
-            else:
-                n += _narrow(q, r, t)
-                break
-        return -n
-    return counter
+def _rank(q: list[int], roots: list[list], t: Fraction) -> int:
+    """The number of entries of roots, the isolation of q, whose root is at
+    most t; the entry that t falls strictly inside is narrowed by _narrow."""
+    for n, r in enumerate(roots):
+        if t < r[1]:
+            return n + _narrow(q, r, t) if r[0] < t else n
+    return len(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -382,35 +359,23 @@ def sturm_count(p: UniPoly, a: Fraction | None = None, b: Fraction | None = None
     if a is not None and b is not None and a >= b:
         raise ValueError("need a < b")
     q, _, roots = _isolation(_int_coeffs(p.coeffs))
-    counter = _root_counter(q, roots)
-    return (0 if a is None else counter(a)) - (-len(roots) if b is None else counter(b))
+    return ((len(roots) if b is None else _rank(q, roots, b))
+            - (0 if a is None else _rank(q, roots, a)))
 
 
 def float_roots(p: UniPoly) -> list[float]:
     """The distinct real roots of p, ascending, each rounded to the nearest
-    float.  Each isolating interval (a, b) is narrowed exactly until both
-    ends round to the same float or to neighbouring floats; a root met
-    exactly is taken as it is."""
+    float.  Each isolating interval (a, b) is halved exactly until both ends
+    round to the same float, or until it is the root itself.  float of a
+    Fraction is correctly rounded, so monotone, and a root between a and b
+    rounds to that same float."""
     if p.is_zero():
         raise ValueError("root isolation on the zero polynomial")
     q, _, roots = _isolation(_int_coeffs(p.coeffs))
-    out = []
     for r in roots:
-        while r[0] != r[1] and nextafter(float(r[0]), inf) < float(r[1]):
+        while r[0] != r[1] and float(r[0]) != float(r[1]):
             _narrow(q, r, (r[0] + r[1]) / 2)
-        a, b, _ = r
-        lo, hi = float(a), float(b)
-        if lo < hi:
-            # neighbouring floats: the root rounds to the one on its side
-            # of the rounding boundary m between them, or to m itself; a
-            # rounds to lo and b to hi, so a <= m <= b
-            m = (Fraction(lo) + Fraction(hi)) / 2
-            if a < m < b:
-                _narrow(q, r, m)
-            if r[0] != r[1]:
-                r[1] = Fraction(lo) if r[1] <= m else Fraction(hi)
-        out.append(float(r[1]))
-    return out
+    return [float(r[1]) for r in roots]
 
 
 def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
@@ -477,27 +442,40 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
     ps, g, roots = _isolation(ints)
     if not roots:
         return True, None
-    return False, _root_witness(ints, ps, g, _root_counter(ps, roots))
+    return False, _root_witness(ints, ps, g, roots)
 
 
 def _root_witness(ints: list[int], ps: list[int], g: list[int],
-                  counter: Callable[[Fraction], int]) -> tuple[Rat, Rat] | None:
+                  roots: list[list]) -> tuple[Rat, Rat] | None:
     """The witness of a rejection, from ints, its squarefree part ps, the
-    gcd g = ints / ps and a counter of the roots of ps."""
+    gcd g = ints / ps and the isolation roots of ps.
+
+    The walk bisects (-bound, bound], bound the Cauchy bound of ps, until
+    each piece (a, b] holds one root, ascending, with the ranks of both ends
+    on the stack, so that it ranks once per bisection point.  Every root
+    lies strictly inside the bound, where the ranks are 0 and len(roots)."""
     bound = _cauchy_bound(ps)
-    for a, b in _isolate(counter, -bound, bound):
-        # h(1, t) is negative at both ends of the line, and the walk is
-        # ascending and returns at the first sign change, so h < 0 at every
-        # left end a it reaches: a root of odd multiplicity, or one that
-        # sits exactly at b, gives h >= 0 at b
-        if _sign_at(ints, b) >= 0:
-            return (Fraction(1), b)
-        # both ends negative: an even-multiplicity touch of zero strictly
-        # inside (a, b), the one root there of g = gcd(h, h');
-        # a rational witness exists only if that root is rational
-        r = _rational_root(g, a, b)
-        if r is not None:
-            return (Fraction(1), r)
+    stack = [(-bound, 0, bound, len(roots))]
+    while stack:
+        a, ra, b, rb = stack.pop()
+        if rb - ra > 1:
+            m = (a + b) / 2
+            rm = _rank(ps, roots, m)
+            stack.append((m, rm, b, rb))
+            stack.append((a, ra, m, rm))
+        elif rb - ra == 1:
+            # h(1, t) is negative at both ends of the line, and the walk is
+            # ascending and returns at the first sign change, so h < 0 at
+            # every left end a it reaches: a root of odd multiplicity, or
+            # one that sits exactly at b, gives h >= 0 at b
+            if _sign_at(ints, b) >= 0:
+                return (Fraction(1), b)
+            # both ends negative: an even-multiplicity touch of zero
+            # strictly inside (a, b), the one root there of g = gcd(h, h');
+            # a rational witness exists only if that root is rational
+            r = _rational_root(g, a, b)
+            if r is not None:
+                return (Fraction(1), r)
     return None
 
 

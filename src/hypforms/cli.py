@@ -163,31 +163,25 @@ def cmd_index(poly: str) -> int:
     return 0
 
 
+# kind -> (parameter count, names of the parameters, builder of the members
+# from the parameters and the --even flag)
+_FAMILIES = {
+    "arnold": (2, "degree and factor count", lambda ps, even: [arnold(*ps)]),
+    "pfact": (1, "k", lambda ps, even: [p_factorized(*ps, even=even)]),
+    "g": (1, "n", lambda ps, even: [g_even(*ps)]),
+    "f": (2, "n and k", lambda ps, even: [f_family(*ps, even=even)]),
+    "reps": (1, "the degree", lambda ps, even: representatives(*ps)),
+}
+
+
 def cmd_family(kind: str, params: list[int], even: bool) -> int:
     """Emit family members as polynomial text plus metadata, one per line."""
+    count, names, build = _FAMILIES[kind]
     try:
-        if kind == "arnold":
-            if len(params) != 2:
-                raise ValueError("arnold takes two parameters: degree and factor count")
-            members = [arnold(params[0], params[1])]
-        elif kind == "pfact":
-            if len(params) != 1:
-                raise ValueError("pfact takes one parameter: k")
-            members = [p_factorized(params[0], even=even)]
-        elif kind == "g":
-            if len(params) != 1:
-                raise ValueError("g takes one parameter: n")
-            members = [g_even(params[0])]
-        elif kind == "f":
-            if len(params) != 2:
-                raise ValueError("f takes two parameters: n and k")
-            members = [f_family(params[0], params[1], even=even)]
-        elif kind == "reps":
-            if len(params) != 1:
-                raise ValueError("reps takes one parameter: the degree")
-            members = representatives(params[0])
-        else:
-            raise ValueError(f"unknown family kind {kind!r}")
+        if len(params) != count:
+            words = ("one parameter", "two parameters")[count - 1]
+            raise ValueError(f"{kind} takes {words}: {names}")
+        members = build(params, even)
     except ValueError as exc:
         print(f"bad family parameters: {exc}", file=sys.stderr)
         return 2
@@ -349,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index.set_defaults(run=lambda a: cmd_index(a.poly))
 
     p_family = sub.add_parser("family", help="emit family members as JSON lines")
-    p_family.add_argument("kind", choices=("arnold", "pfact", "g", "f", "reps"))
+    p_family.add_argument("kind", choices=tuple(_FAMILIES))
     p_family.add_argument("params", type=int, nargs="*", help="integer parameters")
     p_family.add_argument("--even", action="store_true",
                           help="even-degree variant (pfact and f kinds)")

@@ -235,7 +235,7 @@ def test_sturm_count_repeated_roots_on_window_ends(lo, hi):
 @settings(max_examples=60, deadline=None)
 def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, a, b):
     # repeated rational roots on a grid of halves, so that window ends and
-    # the bisection midpoints of _isolate land on roots of every multiplicity
+    # the bisection midpoints of the walk land on roots of every multiplicity
     p = UniPoly((Fraction(1), Fraction(0), Fraction(1))) if complex_pair else UniPoly.const(1)
     for root, m in factors:
         p = p * linear_power(root, m)
@@ -247,10 +247,10 @@ def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, 
     walk = ref_isolate(ref_counter(ints), Fraction(-4), Fraction(4))
     for lo, hi in walk:
         assert sum(1 for r in roots if lo < r <= hi) == 1
-    # the isolation counts as the reference Sturm sequence does, a root at
-    # t = 0 included
+    # the isolation ranks as the reference Sturm sequence counts at every
+    # point of the walk, a root at t = 0 included
     q, _, entries = certify._isolation(ints)
-    assert list(certify._isolate(certify._root_counter(q, entries), Fraction(-4), Fraction(4))) == walk
+    assert ref_isolate(lambda t: -certify._rank(q, entries, t), Fraction(-4), Fraction(4)) == walk
     assert certify.float_roots(p) == [float(r) for r in roots]
 
 
@@ -268,25 +268,32 @@ def _splits(roots, a: Fraction, b: Fraction) -> int:
     return 1 + _splits(roots, a, m) + _splits(roots, m, b)
 
 
-def test_isolate_runs_the_counter_once_per_bisection_point():
+def test_root_witness_ranks_once_per_bisection_point(monkeypatch):
     p = UniPoly.const(1)
     for root, m in ISOLATE_ROOTS.items():
         p = p * linear_power(root, m)
-    q, _, roots = certify._isolation(certify._int_coeffs(p.coeffs))
-    isolation = certify._root_counter(q, roots)
-    points = []
+    q, g, roots = certify._isolation(certify._int_coeffs(p.coeffs))
+    rank, points, intervals = certify._rank, [], []
 
-    def counted(t):
+    def counted(q, roots, t):
         points.append(t)
-        return isolation(t)
+        return rank(q, roots, t)
 
-    lo, hi = Fraction(-4), Fraction(4)
-    intervals = list(certify._isolate(counted, lo, hi))
-    splits = _splits(ISOLATE_ROOTS, lo, hi)
+    def touch(g, a, b):
+        intervals.append((a, b))
+
+    monkeypatch.setattr(certify, "_rank", counted)
+    monkeypatch.setattr(certify, "_rational_root", touch)
+    # a target negative at every end, whose touches are all irrational, so
+    # that the walk reaches every piece and finds no witness
+    assert certify._root_witness([-1], q, g, roots) is None
+    bound = ref_cauchy_bound(q)
+    splits = _splits(ISOLATE_ROOTS, -bound, bound)
     assert splits >= 5
-    assert len(points) == 2 + splits
+    assert len(points) == splits
     assert len(set(points)) == len(points)
-    # ascending, one root in each, every root of (lo, hi] covered
+    assert -bound not in points and bound not in points
+    # ascending, one root in each, every root covered
     assert intervals == sorted(intervals)
     assert [sum(1 for r in ISOLATE_ROOTS if a < r <= b) for a, b in intervals] == [1] * 6
     assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
@@ -347,6 +354,11 @@ def test_squarefree_part_of_repeated_roots():
     Fraction(2**53 + 2, 2**53),   # a float
     Fraction(1, 3),
     Fraction(-10**20 - 1, 7),
+    Fraction(2**53 + 1, 2**53) + Fraction(1, 2**120),  # just above halfway: rounds up
+    Fraction(2**53 + 1, 2**53) - Fraction(1, 2**120),  # just below halfway: rounds down
+    Fraction(1, 2**1074),         # the least subnormal
+    Fraction(-1, 2**1074),
+    Fraction(3, 2**1076),         # between subnormals: rounds to the least one
 ])
 def test_float_roots_round_rational_roots_to_nearest(root):
     # (t - root)(t^2 + 1): one real root, rounded as float(Fraction) rounds it
@@ -1124,12 +1136,12 @@ def test_unit_interval_isolates_once_and_on_the_unit_interval_only(monkeypatch):
         return narrow(q, r, t)
 
     def walk(*args):
-        raise AssertionError("a bound walked a counter")
+        raise AssertionError("a bound ranked or walked the isolation")
 
     monkeypatch.setattr(certify, "_isolation", spy)
     monkeypatch.setattr(certify, "_narrow", narrow_spy)
-    monkeypatch.setattr(certify, "_root_counter", walk)
-    monkeypatch.setattr(certify, "_isolate", walk)
+    monkeypatch.setattr(certify, "_rank", walk)
+    monkeypatch.setattr(certify, "_root_witness", walk)
     reached = 0
     for p, _ in unit_interval_products():
         for q, strict in itertools.product((p, -p), (False, True)):

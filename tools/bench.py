@@ -10,7 +10,8 @@ round runs every checkout in turn on each workload, and every other round
 reverses the order of the checkouts, so that drift in the speed of the
 machine falls on all of them alike.  Ten rounds give the ten alternated
 pairs that a claimed gain is judged on.  For the per-layer metrics it then
-makes one --trace 1 run per checkout and workload.
+makes TRACED_ROUNDS rounds of --trace 1 runs, alternated the same way: a
+single traced run swings far more than the medians do.
 
 The file holds the machine and the Python version, and for each checkout
 its commit (null when its src/ or perfbench/ differ from that commit, so
@@ -35,6 +36,7 @@ from pathlib import Path
 WORKLOADS = ("certify", "paper")
 TRACES = (0, 1)
 ROUNDS = 10
+TRACED_ROUNDS = 3
 SECONDS = 60.0  # BENCHMARK.json's run_seconds
 SEED = 1
 
@@ -125,9 +127,8 @@ def main(argv=None) -> int:
 
     runs = {name: {f"{w}/trace{t}": [] for w in WORKLOADS for t in TRACES}
             for name, _ in named}
-    plan = [(r, w, 0, named if r % 2 == 0 else named[::-1])
-            for r in range(ROUNDS) for w in WORKLOADS]
-    plan += [(ROUNDS, w, 1, named) for w in WORKLOADS]
+    plan = [(r, w, int(r >= ROUNDS), named if r % 2 == 0 else named[::-1])
+            for r in range(ROUNDS + TRACED_ROUNDS) for w in WORKLOADS]
     for r, workload, trace, order in plan:
         for name, checkout in order:
             print(f"round {r + 1}: {name} {workload} --trace {trace}",
@@ -152,7 +153,8 @@ def main(argv=None) -> int:
         "seed": SEED,
         "seconds": SECONDS,
         "rounds": ROUNDS,
-        "order": "trace 0: rounds alternate the order of the checkouts; trace 1: one run each",
+        "traced_rounds": TRACED_ROUNDS,
+        "order": "rounds alternate the order of the checkouts, trace 0 then trace 1",
         "entries": entries,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
