@@ -453,7 +453,8 @@ def _root_witness(ints: list[int], ps: list[int], g: list[int],
     The walk bisects (-bound, bound], bound the Cauchy bound of ps, until
     each piece (a, b] holds one root, ascending, with the ranks of both ends
     on the stack, so that it ranks once per bisection point.  Every root
-    lies strictly inside the bound, where the ranks are 0 and len(roots)."""
+    lies strictly inside the bound, so the ranks of -bound and bound are 0
+    and len(roots) with no read."""
     bound = _cauchy_bound(ps)
     stack = [(-bound, 0, bound, len(roots))]
     while stack:
