@@ -302,32 +302,19 @@ def integrate_curve(
     return CurvePolyline(points=points, field_choice=field_choice, seed=(sx, sy))
 
 
-def _even_power_sum_exponent(q: BinaryForm) -> int:
-    # Recognize x^(2n) + y^(2n); return n, else raise.
-    n = q.degree // 2
-    if n < 1 or q != even_pad(n):
-        raise ValueError("padding factor must be x^(2n) + y^(2n) with n >= 1")
-    return n
-
-
-def _validate_pair(p: BinaryForm, q: BinaryForm) -> int:
-    n = _even_power_sum_exponent(q)
-    if p.degree < 2:
-        raise ValueError("line-product factor must have degree >= 2")
-    if count_real_linear_factors(p) != p.degree:
-        raise ValueError(
-            "first factor must be a product of distinct real linear forms"
-        )
-    return n
-
-
 def _cross_blocks(p: BinaryForm, q: BinaryForm):
     """The two blocks of the second derivatives of p*q that omit
     p * (second partials of q): q * (pxx, pxy, pyy) and the symmetrized
     first-derivative product (px qx, px qy + py qx, py qy), and the
     cross-term form that they sum to.  Validates the pair and verifies the
     mixed second-derivative identity of discriminant_omega first."""
-    n = _validate_pair(p, q)
+    n = q.degree // 2
+    if n < 1 or q != even_pad(n):
+        raise ValueError("padding factor must be x^(2n) + y^(2n) with n >= 1")
+    if p.degree < 2:
+        raise ValueError("line-product factor must have degree >= 2")
+    if count_real_linear_factors(p) != p.degree:
+        raise ValueError("first factor must be a product of distinct real linear forms")
     px, py = p.partial_x(), p.partial_y()
     qx, qy = q.partial_x(), q.partial_y()
     pxx, pxy, pyy = second_partials(p)

@@ -7,7 +7,8 @@ this module decides signs exactly, on integers: hessian and polar_form run
 on the integer multiple of f that clears its denominators, and every root
 count and sign decision reads the real roots of a squarefree part
 ps = p / gcd(p, p'), isolated by one Descartes walk.  The heuristic GCD
-gives gcd(p, p') and ps with no remainder sequence.  _isolation is the one
+_hgcd(a, b) returns (g, a/g, b/g) for g = gcd(a, b), so it gives gcd(p, p')
+and ps with no remainder sequence.  _isolation is the one
 entry point: each of its entries [a, b, s] holds one root, and _narrow
 refines an entry by one sign of ps at a point inside it, for float
 rounding, rational touches and the [0, 1] bound.  The rank of t, the
@@ -151,9 +152,9 @@ def _shift_one(c: list[int]) -> list[int]:
     return out
 
 
-def _hgcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd(a, b) of nonzero integer polynomials, primitive with a positive
-    lead, by the heuristic GCD.
+def _hgcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for g = gcd(a, b) of nonzero integer polynomials,
+    primitive with a positive lead, by the heuristic GCD.
 
     At xi = 2^k >= 2 min(|a|, |b|) + 2 (max norms) the symmetric xi-adic
     digits of the integer gcd(a(xi), b(xi)) are a candidate.  By the
@@ -167,12 +168,9 @@ def _hgcd(a: list[int], b: list[int]) -> list[int]:
         h = gcd(_eval_pow2(a, k), _eval_pow2(b, k))
         g = _primitive(_digits(h, k))
         try:
-            _divexact(a, g)
-            _divexact(b, g)
+            return g, _divexact(a, g), _divexact(b, g)
         except ValueError:
             k *= 2
-            continue
-        return g
 
 
 def _eval_pow2(p: list[int], k: int) -> int:
@@ -200,8 +198,8 @@ def _squarefree(p: list[int]) -> tuple[list[int], list[int]]:
     """(p / g, g) for a primitive p of degree >= 1 and g = gcd(p, p'): the
     squarefree part of p, and the part of p that holds its repeated
     roots."""
-    g = _hgcd(p, _primitive(_deriv(p)))
-    return _divexact(p, g), g
+    g, ps, _ = _hgcd(p, _primitive(_deriv(p)))
+    return ps, g
 
 
 def _dyadic(c: int, e: int) -> Fraction:

@@ -68,8 +68,8 @@ def _cert_dict(cert: Certificate) -> dict:
 
 def _witness_text(w) -> list[str]:
     """The witness coordinates as text.  A witness can have more digits than
-    the interpreter's int-to-str limit, which parse_form relies on to reject
-    long numerals, so the limit is lifted only while they are formatted."""
+    the interpreter's int-to-str limit, which belongs to the whole process,
+    so the limit is lifted only while they are formatted."""
     if not hasattr(sys, "get_int_max_str_digits"):  # no limit to lift
         return [str(w[0]), str(w[1])]
     limit = sys.get_int_max_str_digits()

@@ -400,9 +400,11 @@ MAX_DEGREE = 100
 # Most decimal digits parse_form accepts in a numeral, and in the numerator
 # and the denominator of every coefficient it builds: the default limit of
 # int() and str() on ints (sys.int_info.default_max_str_digits), so every
-# form parse_form accepts prints, and its text parses back.  It also bounds
-# the parser's work: "((2^100)^100)^100" stops at its first coefficient past
-# the limit instead of building one of 301,030 digits.
+# form parse_form accepts prints, and its text parses back.  parse_form
+# checks every numeral itself, as any code may lift the interpreter's limit
+# (and Python before 3.10.7 has none).  It also bounds the parser's work:
+# "((2^100)^100)^100" stops at its first coefficient past the limit instead
+# of building one of 301,030 digits.
 MAX_COEFF_DIGITS = 4300
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 
@@ -461,13 +463,6 @@ def _bv_scale(a, s):
     return {k: v * s for k, v in a.items()}
 
 
-def _int(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"numeral of {len(tok)} digits is too long") from None
-
-
 def _parse_expr(lx: _Lexer):
     acc = _parse_product(lx)
     while lx.peek() in ("+", "-"):
@@ -499,9 +494,9 @@ def _parse_power(lx: _Lexer):
     if lx.peek() == "^":
         lx.next()
         tok = lx.next()
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}")
-        n = _int(tok)
+        n = int(tok)
         if n > MAX_DEGREE:
             raise ParseError(f"exponent {n} is above the limit of {MAX_DEGREE}")
         (i, j), c = next(iter(base.items()))
@@ -529,19 +524,21 @@ def _parse_atom(lx: _Lexer):
         return {(1, 0): Fraction(1)}
     if tok == "y":
         return {(0, 1): Fraction(1)}
-    if tok.isdigit():
-        num = _int(tok)
+    if tok.isdecimal():
+        num = int(tok)
         if lx.peek() == "/":
             lx.next()
             den = lx.next()
-            if not den.isdigit() or _int(den) == 0:
+            if not den.isdecimal() or int(den) == 0:
                 raise ParseError("denominator must be a positive integer")
-            return {(0, 0): Fraction(num, _int(den))}
+            return {(0, 0): Fraction(num, int(den))}
         return {(0, 0): Fraction(num)}
     raise ParseError(f"unexpected token {tok!r}")
 
 
 _VECTOR_RE = re.compile(r"^\s*(\d+)\s*:(.*)$", re.S)
+# a run of digits, with the underscores that int() and Fraction() allow
+_NUMERAL_RE = re.compile(r"\d[\d_]*")
 _EXPONENT_RE = re.compile(r"e([-+]?\d[\d_]*)\s*$", re.I)
 
 
@@ -564,9 +561,13 @@ def parse_form(text: str) -> BinaryForm:
     of more than MAX_COEFF_DIGITS digits, and so are parentheses nested
     more than MAX_NESTING levels deep.
     """
+    for run in _NUMERAL_RE.findall(text):
+        digits = len(run) - run.count("_")
+        if digits > MAX_COEFF_DIGITS:
+            raise ParseError(f"numeral of {digits} digits is too long")
     m = _VECTOR_RE.match(text)
     if m:
-        degree = _int(m.group(1))
+        degree = int(m.group(1))
         if degree > MAX_DEGREE:
             raise ParseError(f"degree {degree} is above the limit of {MAX_DEGREE}")
         parts = [p.strip() for p in m.group(2).split(",")]

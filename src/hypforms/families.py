@@ -106,7 +106,6 @@ def f_family(n: int, k: int, even: bool = False) -> FamilyMember:
     base = _line_product(k, even)
     form = even_pad(n) * base
     j = 2 if even else 1
-    d = form.degree
     return FamilyMember(form, "f", (n, k, 1 if even else 0), 2 - (2 * k + j),
                         f"Q_{2 * n} P_{base.degree}")
 

@@ -26,6 +26,8 @@ from hypforms import (
     LinearForm,
     NotHyperbolicError,
     UniPoly,
+    admissible_indices,
+    count_real_linear_factors,
     hess_linear_product,
     hessian,
     is_hyperbolic,
@@ -33,6 +35,7 @@ from hypforms import (
     is_negative_form,
     is_nonpositive_on_unit_interval,
     linear_extension_is_hyperbolic,
+    num_components,
     p_factorized,
     parse_form,
     polar_form,
@@ -909,8 +912,9 @@ def test_isolation_and_sturm_walk_agree_on_seeded_rejection_targets():
 
 
 def test_heuristic_gcd_matches_sympy_on_seeded_pairs(monkeypatch):
-    # a = g * u and b = g * w for random g, u and w; seed 0 gives a pair
-    # whose first xi leaves an extra factor, so that xi grows
+    # a = g * u and b = g * w for random g, u and w, and _hgcd returns
+    # (g, a/g, b/g); seed 0 gives a pair whose first xi leaves an extra
+    # factor, so that xi grows
     steps = []
     digits = certify._digits
 
@@ -930,12 +934,14 @@ def test_heuristic_gcd_matches_sympy_on_seeded_pairs(monkeypatch):
         a = certify._primitive(certify._mul_int(g, poly(rng.randint(1, 6), 9)))
         b = certify._primitive(certify._mul_int(g, poly(rng.randint(1, 6), 9)))
         steps.clear()
-        got = certify._hgcd(a, b)
+        got, a_over, b_over = certify._hgcd(a, b)
         want = sympy.Poly(list(reversed(a)), T).gcd(sympy.Poly(list(reversed(b)), T))
         want = [int(c) for c in reversed(want.all_coeffs())]
         if want[-1] < 0:
             want = [-c for c in want]
         assert got == want, seed
+        # the cofactors are the quotients of the divisions that prove g
+        assert certify._mul_int(got, a_over) == a and certify._mul_int(got, b_over) == b, seed
         grown += len(steps) > 1
         if seed == 0:
             assert len(steps) == 2
@@ -1243,3 +1249,42 @@ def test_linear_extension_matches_direct_certification():
             l.to_form() * f
         ).is_hyperbolic
         checked += 1
+
+
+_LINE = UniPoly((Fraction(0), Fraction(1)))  # t
+
+
+@pytest.mark.parametrize("entry, args, message", [
+    pytest.param(sturm_count, (UniPoly.zero(),), "root counting on the zero polynomial",
+                 id="sturm_count-zero"),
+    pytest.param(sturm_count, (_LINE, Fraction(1), Fraction(1)), "need a < b",
+                 id="sturm_count-empty-window"),
+    pytest.param(sturm_count, (_LINE, Fraction(2), Fraction(1)), "need a < b",
+                 id="sturm_count-reversed-window"),
+    pytest.param(certify.float_roots, (UniPoly.zero(),), "root isolation on the zero polynomial",
+                 id="float_roots-zero"),
+    pytest.param(is_nonpositive_on_unit_interval, (UniPoly.zero(), True), "zero polynomial",
+                 id="unit_interval-zero"),
+    pytest.param(is_negative_form, (BinaryForm.zero(4),), "negativity test on the zero form",
+                 id="is_negative_form-zero"),
+    pytest.param(is_negative_form, (parse_form("x^3 - y^3"),),
+                 "negativity test needs even degree", id="is_negative_form-odd"),
+    pytest.param(hessian, (parse_form("x"),), "hessian needs degree >= 2", id="hessian"),
+    pytest.param(polar_form, (BinaryForm(0, (Fraction(1),)),), "polar form needs degree >= 1",
+                 id="polar_form"),
+    pytest.param(is_hyperbolic, (parse_form("x"),), "hyperbolicity is defined for degree >= 2",
+                 id="is_hyperbolic"),
+    pytest.param(is_hyperbolic_polar, (parse_form("x"),),
+                 "hyperbolicity is defined for degree >= 2", id="is_hyperbolic_polar"),
+    pytest.param(hess_linear_product, (LinearForm(1, 0), parse_form("x")), "needs deg f >= 2",
+                 id="hess_linear_product"),
+    pytest.param(count_real_linear_factors, (BinaryForm.zero(3),), "zero form",
+                 id="count_real_linear_factors-zero"),
+    pytest.param(admissible_indices, (2,), "admissible index list needs degree >= 3",
+                 id="admissible_indices"),
+    pytest.param(num_components, (2,), "component count needs degree >= 3",
+                 id="num_components"),
+])
+def test_exact_entry_points_reject_inputs_outside_their_domain(entry, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(*args)

@@ -69,6 +69,19 @@ def test_check_prints_a_witness_past_the_int_digit_limit(capsys, monkeypatch):
             str(sevens)
 
 
+def test_check_routes_that_disagree_exit_3(capsys, monkeypatch):
+    # the polar route is made to contradict the Hessian route
+    rejected = Certificate("not_hyperbolic", "polar", 4, (Fraction(1), Fraction(0)))
+    monkeypatch.setattr(cli, "is_hyperbolic_polar", lambda f: rejected)
+    code, out, err = run(capsys, "check", "x^3 - x*y^2")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["agree"] is False
+    assert doc["hessian"]["verdict"] == "hyperbolic"
+    assert doc["polar"]["verdict"] == "not_hyperbolic"
+    assert err == "internal error: certification methods disagree\n"
+
+
 def test_check_parse_error(capsys):
     code, _, err = run(capsys, "check", "x^2 +")
     assert code == 2

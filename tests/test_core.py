@@ -1,6 +1,8 @@
 """Exact polynomial plumbing: parsing, formatting, ring ops, derivatives."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -161,6 +163,41 @@ def test_parse_monomial_powers_match_products():
 def test_parse_rejects_overlong_numeral():
     with pytest.raises(ParseError, match="too long"):
         parse_form("1" * 5000 + "*x^2")
+    # both syntaxes give one message, underscores between digits not counted
+    ones = "1" * (MAX_COEFF_DIGITS + 1)
+    for text in (f"{ones}*x^2", f"1/{ones}*x", f"x^{ones}", f"{ones}: 1",
+                 f"1: {ones}, 1", f"1: 1.{ones}, 1", f"1: 1e{ones}, 1",
+                 "1: " + "_".join(ones) + ", 1"):
+        with pytest.raises(ParseError, match=f"^numeral of {MAX_COEFF_DIGITS + 1} digits is too long$"):
+            parse_form(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str limit")
+def test_parse_rejects_overlong_numeral_with_the_interpreter_limit_lifted():
+    # parse_form bounds numerals itself: with the process-wide limit lifted,
+    # int() and Fraction() would read them in time quadratic in their length
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in (MAX_COEFF_DIGITS + 1, 400_000):
+            for text in ("1" * n + "*x^2", "1: " + "1" * n + ", 1"):
+                start = time.perf_counter()
+                with pytest.raises(ParseError, match=f"^numeral of {n} digits is too long$"):
+                    parse_form(text)
+                assert time.perf_counter() - start < 0.1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_reads_only_decimal_digits():
+    # "²" is a digit to str.isdigit() but no numeral to int()
+    assert parse_form("٣*x^2") == parse_form("3*x^2")
+    for text, message in (("x^²", "exponent must be a nonnegative integer, got '²'"),
+                          ("1/²*x", "denominator must be a positive integer"),
+                          ("²*x", "unexpected token '²'")):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_form(text)
 
 
 def test_parse_coefficient_limit():
