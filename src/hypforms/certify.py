@@ -65,8 +65,6 @@ def _primitive(p: list[int]) -> list[int]:
 
 def _divexact(a: list[int], b: list[int]) -> list[int]:
     """Exact division of integer polynomials (raises if not exact)."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
     r = list(a)
     q = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
     lead = b[-1]

@@ -1,7 +1,8 @@
 """Verification suites for every machine-checkable claim the package rests on.
 
-Each suite runs a list of independent cases and returns a SuiteReport whose
-cases record what was expected, what was computed, and whether they match.
+Each suite runs its independent cases as it declares them, one at a time,
+and returns a SuiteReport whose cases, sorted by id, record what was
+expected, what was computed, and whether they match.
 Comparisons are exact (integer/rational/polynomial equality) unless a case
 is explicitly tagged with a tolerance.  Case lists are deterministic; the
 random corpora draw from a seeded generator whose seed appears in the case
@@ -15,7 +16,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .asymptotics import check_isotopies, poincare_index_origin
 from .certify import (
@@ -120,11 +120,20 @@ class SuiteReport:
         )
 
 
-def _run(name: str, jobs: list[tuple[str, object]], t0: float) -> SuiteReport:
-    def run_one(job):
-        cid, fn = job
+class _Cases:
+    """The cases of one suite, each run as it is declared; the clock starts
+    once the suite's override, if it has one, is range-checked."""
+
+    def __init__(self, suite: str, value: int | None = None):
+        if value is not None:
+            _check_range(suite, value)
+        self.suite = suite
+        self.cases: list[dict] = []
+        self.t0 = time.perf_counter()
+
+    def add(self, cid: str, fn, *args) -> None:
         try:
-            case = fn()
+            case = fn(*args)
         except Exception as exc:
             case = {
                 "expected": "case evaluates without error",
@@ -133,11 +142,11 @@ def _run(name: str, jobs: list[tuple[str, object]], t0: float) -> SuiteReport:
                 "comparison": "exact",
             }
         case["id"] = cid
-        return case
+        self.cases.append(case)
 
-    cases = [run_one(j) for j in jobs]
-    cases.sort(key=lambda c: c["id"])
-    return SuiteReport(suite=name, cases=cases, wall_time=time.perf_counter() - t0)
+    def report(self) -> SuiteReport:
+        self.cases.sort(key=lambda c: c["id"])
+        return SuiteReport(self.suite, self.cases, time.perf_counter() - self.t0)
 
 
 def _rep_degrees(d_max: int) -> list[int]:
@@ -165,20 +174,19 @@ def _holds(claim: str, ok: bool, otherwise: str) -> dict:
 def suite_table1(d_max: int = 16) -> SuiteReport:
     """Every rotationally-padded harmonic-power member up to degree d_max is
     certified hyperbolic and its winding index matches the stored value."""
-    _check_range("table1", d_max)
-    t0 = time.perf_counter()
-    jobs = []
+    cases = _Cases("table1", d_max)
+
+    def fn(mem: FamilyMember):
+        cert = is_hyperbolic(mem.form)
+        if not cert.is_hyperbolic:
+            return _exact(f"hyperbolic, index {mem.expected_index}", cert.verdict)
+        return _exact(
+            f"hyperbolic, index {mem.expected_index}",
+            f"hyperbolic, index {index_gamma(mem.form)}",
+        )
     for mem in table1(d_max):
-        def fn(mem: FamilyMember = mem):
-            cert = is_hyperbolic(mem.form)
-            if not cert.is_hyperbolic:
-                return _exact(f"hyperbolic, index {mem.expected_index}", cert.verdict)
-            return _exact(
-                f"hyperbolic, index {mem.expected_index}",
-                f"hyperbolic, index {index_gamma(mem.form)}",
-            )
-        jobs.append((f"table1/D={mem.form.degree:02d}/{mem.label}", fn))
-    return _run("table1", jobs, t0)
+        cases.add(f"table1/D={mem.form.degree:02d}/{mem.label}", fn, mem)
+    return cases.report()
 
 
 # ------------------------------------------------------------- conjecture
@@ -188,32 +196,31 @@ def suite_conjecture(d_max: int = 20) -> SuiteReport:
     """Per degree: the representative set is certified hyperbolic, its index
     list enumerates the admissible indexes exactly once each, and every
     index respects the parity and range bounds."""
-    _check_range("conjecture", d_max)
-    t0 = time.perf_counter()
-    jobs = []
+    cases = _Cases("conjecture", d_max)
+
+    def fn(d: int):
+        reps = representatives(d)
+        idxs = [index_gamma(m.form) for m in reps]
+        want = admissible_indices(d)
+        bounds_ok = all(
+            2 - d <= i <= (0 if d % 2 == 0 else -1) and (i - d) % 2 == 0
+            for i in idxs
+        )
+        stored_ok = all(m.expected_index == i for m, i in zip(reps, idxs))
+        return _exact(
+            f"indexes {want}, {num_components(d)} components, bounds/parity hold",
+            f"indexes {idxs}, {len(set(idxs))} components, bounds/parity "
+            f"{'hold' if bounds_ok and stored_ok else 'violated'}",
+        )
     for d in _rep_degrees(d_max):
-        def fn(d: int = d):
-            reps = representatives(d)
-            idxs = [index_gamma(m.form) for m in reps]
-            want = admissible_indices(d)
-            bounds_ok = all(
-                2 - d <= i <= (0 if d % 2 == 0 else -1) and (i - d) % 2 == 0
-                for i in idxs
-            )
-            stored_ok = all(m.expected_index == i for m, i in zip(reps, idxs))
-            return _exact(
-                f"indexes {want}, {num_components(d)} components, bounds/parity hold",
-                f"indexes {idxs}, {len(set(idxs))} components, bounds/parity "
-                f"{'hold' if bounds_ok and stored_ok else 'violated'}",
-            )
-        jobs.append((f"conjecture/D={d:02d}", fn))
+        cases.add(f"conjecture/D={d:02d}", fn, d)
 
     def spotlight():
         members = [p_factorized(4), f_family(1, 3), f_family(2, 2), f_family(3, 1)]
         got = [index_gamma(m.form) for m in members]
         return _exact([-7, -5, -3, -1], got)
-    jobs.append(("conjecture/D=09 spotlight quadruple", spotlight))
-    return _run("conjecture", jobs, t0)
+    cases.add("conjecture/D=09 spotlight quadruple", spotlight)
+    return cases.report()
 
 
 # ----------------------------------------------------------------- lemmas
@@ -274,19 +281,17 @@ def _critical_point_case(n: int) -> dict:
     )
 
 
-def _critical_point_jobs(suite: str, n_max: int) -> list[tuple[str, object]]:
-    return [
-        (f"{suite}/critical-point/n={n:02d}", partial(_critical_point_case, n))
-        for n in range(2, n_max + 1)
-    ]
+def _critical_point_cases(cases: _Cases, n_max: int) -> None:
+    for n in range(2, n_max + 1):
+        cases.add(f"{cases.suite}/critical-point/n={n:02d}", _critical_point_case, n)
 
 
 def suite_lemma1(n_max: int = 40) -> SuiteReport:
     """Critical-point certification of the bump polynomial alone, for every
     n from 2 up to n_max."""
-    _check_range("lemma1", n_max)
-    t0 = time.perf_counter()
-    return _run("lemma1", _critical_point_jobs("lemma1", n_max), t0)
+    cases = _Cases("lemma1", n_max)
+    _critical_point_cases(cases, n_max)
+    return cases.report()
 
 
 def suite_lemmas(n_max: int = 40) -> SuiteReport:
@@ -294,34 +299,30 @@ def suite_lemmas(n_max: int = 40) -> SuiteReport:
     rotational-pad family: the bump polynomial's unique interior critical
     point and maximum, two strict-negativity bounds for n >= 11, and the
     non-strict middle-block bound for 2 <= n <= 11."""
-    _check_range("lemmas", n_max)
-    t0 = time.perf_counter()
-    jobs = _critical_point_jobs("lemmas", n_max)
+    cases = _Cases("lemmas", n_max)
+    _critical_point_cases(cases, n_max)
 
     def strict_bound(n: int, c0: int, c2: int, scale: int):
         # c0 + c2*t^2 + scale * (1 - t^2)^2 * t^(2n-2) < 0 on [0, 1]
-        def case():
-            p = UniPoly((Fraction(c0), Fraction(0), Fraction(c2))) + Fraction(scale) * _bump_poly(n)
-            return _holds("strictly negative on [0,1]",
-                          is_nonpositive_on_unit_interval(p, strict=True),
-                          "NOT strictly negative")
-        return case
-
+        p = UniPoly((Fraction(c0), Fraction(0), Fraction(c2))) + Fraction(scale) * _bump_poly(n)
+        return _holds("strictly negative on [0,1]",
+                      is_nonpositive_on_unit_interval(p, strict=True),
+                      "NOT strictly negative")
     for n in range(11, n_max + 1):
-        jobs.append((f"lemmas/quartic-bound/n={n:02d}",
-                     strict_bound(n, -8 * n * n, -8 * n * n, 16 * n**4)))
-        jobs.append((f"lemmas/cubic-bound/n={n:02d}",
-                     strict_bound(n, -12 * n, -4 * n, 16 * n**3)))
+        cases.add(f"lemmas/quartic-bound/n={n:02d}",
+                  strict_bound, n, -8 * n * n, -8 * n * n, 16 * n**4)
+        cases.add(f"lemmas/cubic-bound/n={n:02d}",
+                  strict_bound, n, -12 * n, -4 * n, 16 * n**3)
 
+    def middle_block(n: int):
+        terms = [t for t in _expansion_terms(n) if t[0] not in (4 * n - 2, 4 * n)]
+        s_poly = _terms_to_poly(terms)
+        return _holds("nonpositive on [0,1]",
+                      is_nonpositive_on_unit_interval(s_poly, strict=False),
+                      "POSITIVE somewhere")
     for n in range(2, 12):
-        def middle_block(n: int = n):
-            terms = [t for t in _expansion_terms(n) if t[0] not in (4 * n - 2, 4 * n)]
-            s_poly = _terms_to_poly(terms)
-            return _holds("nonpositive on [0,1]",
-                          is_nonpositive_on_unit_interval(s_poly, strict=False),
-                          "POSITIVE somewhere")
-        jobs.append((f"lemmas/middle-block/n={n:02d}", middle_block))
-    return _run("lemmas", jobs, t0)
+        cases.add(f"lemmas/middle-block/n={n:02d}", middle_block, n)
+    return cases.report()
 
 
 # ----------------------------------------------------- hessian_expansion
@@ -333,33 +334,32 @@ def suite_hessian_expansion(n_max: int = 10) -> SuiteReport:
     16n^2 in place of 16n^3 is shown to disagree by exactly 16n^2(n-1) at
     exponent 2n+2.  Includes the degree-4 rejection and acceptance range of
     the even family."""
-    _check_range("hessian_expansion", n_max)
-    t0 = time.perf_counter()
-    jobs = []
-    for n in range(2, n_max + 1):
-        def expansion(n: int = n):
-            g = g_even(n).form
-            direct = hessian(g).restrict("y=1")
-            rebuilt = _terms_to_poly(_expansion_terms(n))
-            return _holds("exact match", direct == rebuilt, "mismatch")
-        jobs.append((f"hessian_expansion/exact/n={n:02d}", expansion))
+    cases = _Cases("hessian_expansion", n_max)
 
-        def variant(n: int = n):
-            g = g_even(n).form
-            direct = hessian(g).restrict("y=1")
-            # swap only the fifth slot (exponent 2n+2); at n=2 that exponent
-            # collides with 4n-2, so selecting by exponent would be wrong
-            terms = list(_expansion_terms(n))
-            terms[4] = (2 * n + 2, 16 * n**4 + 16 * n**2 - 4 * n * n - 4 * n)
-            diff = _terms_to_poly(terms) - direct
-            gaps = [(i, c) for i, c in enumerate(diff.coeffs) if c != 0]
-            return _exact(
-                f"single gap at exponent {2 * n + 2} of size {-16 * n * n * (n - 1)}",
-                f"single gap at exponent {gaps[0][0]} of size {gaps[0][1]}"
-                if len(gaps) == 1
-                else f"{len(gaps)} gaps",
-            )
-        jobs.append((f"hessian_expansion/variant-coefficient/n={n:02d}", variant))
+    def expansion(n: int):
+        g = g_even(n).form
+        direct = hessian(g).restrict("y=1")
+        rebuilt = _terms_to_poly(_expansion_terms(n))
+        return _holds("exact match", direct == rebuilt, "mismatch")
+
+    def variant(n: int):
+        g = g_even(n).form
+        direct = hessian(g).restrict("y=1")
+        # swap only the fifth slot (exponent 2n+2); at n=2 that exponent
+        # collides with 4n-2, so selecting by exponent would be wrong
+        terms = list(_expansion_terms(n))
+        terms[4] = (2 * n + 2, 16 * n**4 + 16 * n**2 - 4 * n * n - 4 * n)
+        diff = _terms_to_poly(terms) - direct
+        gaps = [(i, c) for i, c in enumerate(diff.coeffs) if c != 0]
+        return _exact(
+            f"single gap at exponent {2 * n + 2} of size {-16 * n * n * (n - 1)}",
+            f"single gap at exponent {gaps[0][0]} of size {gaps[0][1]}"
+            if len(gaps) == 1
+            else f"{len(gaps)} gaps",
+        )
+    for n in range(2, n_max + 1):
+        cases.add(f"hessian_expansion/exact/n={n:02d}", expansion, n)
+        cases.add(f"hessian_expansion/variant-coefficient/n={n:02d}", variant, n)
 
     def degree4():
         g4 = parse_form("(x^2 - y^2)*(x^2 + y^2)")
@@ -377,16 +377,16 @@ def suite_hessian_expansion(n_max: int = 10) -> SuiteReport:
             f"hessian {'matches -144*x^2*y^2' if hess_ok else 'differs'}; "
             f"{'rejected with valid witness' if witness_ok else 'bad rejection'}",
         )
-    jobs.append(("hessian_expansion/degree-4 exclusion", degree4))
+    cases.add("hessian_expansion/degree-4 exclusion", degree4)
 
+    def accepted(n: int):
+        return _exact(
+            "hyperbolic",
+            is_hyperbolic(g_even(n).form).verdict,
+        )
     for n in range(2, 13):
-        def accepted(n: int = n):
-            return _exact(
-                "hyperbolic",
-                is_hyperbolic(g_even(n).form).verdict,
-            )
-        jobs.append((f"hessian_expansion/accepted/n={n:02d}", accepted))
-    return _run("hessian_expansion", jobs, t0)
+        cases.add(f"hessian_expansion/accepted/n={n:02d}", accepted, n)
+    return cases.report()
 
 
 # ------------------------------------------------------------ equivalence
@@ -419,59 +419,61 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
     agree on every family member and on a seeded random corpus, rejection
     witnesses actually witness, and the product-with-a-line Hessian identity
     holds with the extension criterion matching direct certification."""
-    _check_range("equivalence", d_max)
-    t0 = time.perf_counter()
-    jobs = []
+    cases = _Cases("equivalence", d_max)
     members = list(table1(min(d_max, 16)))
     for d in _rep_degrees(d_max):
         members.extend(representatives(d))
+
+    def fam(mem: FamilyMember):
+        h = is_hyperbolic(mem.form).verdict
+        p = is_hyperbolic_polar(mem.form).verdict
+        return _holds(f"{h} == {h}", h == p, f"{h} != {p}")
     for i, mem in enumerate(members):
-        def fam(mem: FamilyMember = mem):
-            h = is_hyperbolic(mem.form).verdict
-            p = is_hyperbolic_polar(mem.form).verdict
-            return _holds(f"{h} == {h}", h == p, f"{h} != {p}")
-        jobs.append((f"equivalence/family/{i:03d}/{mem.label}", fam))
+        cases.add(f"equivalence/family/{i:03d}/{mem.label}", fam, mem)
 
+    def rand(form: BinaryForm):
+        h = is_hyperbolic(form)
+        p = is_hyperbolic_polar(form)
+        agree = h.verdict == p.verdict
+        details = [f"verdicts {'agree' if agree else 'disagree'}"]
+        ok = agree
+        if not h.is_hyperbolic and h.witness is not None:
+            wx, wy = h.witness
+            good = hessian(form).eval(wx, wy) >= 0
+            ok = ok and good
+            details.append(f"hessian witness {'valid' if good else 'INVALID'}")
+        if not p.is_hyperbolic and p.witness is not None:
+            wx, wy = p.witness
+            good = polar_form(form).eval(wx, wy) >= 0
+            ok = ok and good
+            details.append(f"polar witness {'valid' if good else 'INVALID'}")
+        return _holds("verdicts agree (witnesses valid)", ok, "; ".join(details))
+    # the corpus is drawn as the cases are declared; no case reads rng
     rng = random.Random(seed)
-    corpus = [_random_form(rng, rng.randint(2, 8)) for _ in range(200)]
-    for i, form in enumerate(corpus):
-        def rand(form: BinaryForm = form):
-            h = is_hyperbolic(form)
-            p = is_hyperbolic_polar(form)
-            agree = h.verdict == p.verdict
-            details = [f"verdicts {'agree' if agree else 'disagree'}"]
-            ok = agree
-            if not h.is_hyperbolic and h.witness is not None:
-                wx, wy = h.witness
-                good = hessian(form).eval(wx, wy) >= 0
-                ok = ok and good
-                details.append(f"hessian witness {'valid' if good else 'INVALID'}")
-            if not p.is_hyperbolic and p.witness is not None:
-                wx, wy = p.witness
-                good = polar_form(form).eval(wx, wy) >= 0
-                ok = ok and good
-                details.append(f"polar witness {'valid' if good else 'INVALID'}")
-            return _holds("verdicts agree (witnesses valid)", ok, "; ".join(details))
-        jobs.append((f"equivalence/random[seed={seed}]/{i:03d}", rand))
+    for i in range(200):
+        cases.add(f"equivalence/random[seed={seed}]/{i:03d}",
+                  rand, _random_form(rng, rng.randint(2, 8)))
 
+    def identity(line: LinearForm, form: BinaryForm):
+        lhs = hess_linear_product(line, form)
+        rhs = hessian(line.to_form() * form)
+        return _holds("identical forms", lhs == rhs, "differ")
     for i in range(100):
         line = _random_linear(rng)
         form = _random_form(rng, rng.randint(2, 8))
-        def identity(line: LinearForm = line, form: BinaryForm = form):
-            lhs = hess_linear_product(line, form)
-            rhs = hessian(line.to_form() * form)
-            return _holds("identical forms", lhs == rhs, "differ")
-        jobs.append((f"equivalence/line-product-identity[seed={seed}]/{i:03d}", identity))
+        cases.add(f"equivalence/line-product-identity[seed={seed}]/{i:03d}",
+                  identity, line, form)
 
+    def extension(line: LinearForm, base: BinaryForm):
+        predicted = linear_extension_is_hyperbolic(line, base)
+        direct = is_hyperbolic(line.to_form() * base).is_hyperbolic
+        return _exact(direct, predicted)
     for i in range(100):
         line = _random_linear(rng)
         base = _random_line_product(rng, rng.randint(2, 7))
-        def extension(line: LinearForm = line, base: BinaryForm = base):
-            predicted = linear_extension_is_hyperbolic(line, base)
-            direct = is_hyperbolic(line.to_form() * base).is_hyperbolic
-            return _exact(direct, predicted)
-        jobs.append((f"equivalence/line-extension[seed={seed}]/{i:03d}", extension))
-    return _run("equivalence", jobs, t0)
+        cases.add(f"equivalence/line-extension[seed={seed}]/{i:03d}",
+                  extension, line, base)
+    return cases.report()
 
 
 # ---------------------------------------------------------------- winding
@@ -481,35 +483,33 @@ def suite_winding(d_max: int = 12) -> SuiteReport:
     """Numeric winding of the degenerate-cone curve equals the factor-count
     index and sits two above the winding of the circle-restriction jet curve;
     circle zero counts equal circle critical-point counts."""
-    _check_range("winding", d_max)
-    t0 = time.perf_counter()
-    jobs = []
+    cases = _Cases("winding", d_max)
     members: list[FamilyMember] = []
     for d in _rep_degrees(d_max):
         members.extend(representatives(d))
+
+    def windings(mem: FamilyMember):
+        idx = index_gamma(mem.form)
+        wg = winding_gamma_numeric(mem.form)
+        wa = winding_alpha_numeric(mem.form)
+        return {
+            "expected": f"gamma winding {idx}, jet winding {idx - 2}",
+            "got": f"gamma winding {wg}, jet winding {wa}",
+            "pass": wg == idx and wa == idx - 2,
+            "comparison": "winding rounded from < 0.1 rev residual",
+        }
     for mem in members:
-        def windings(mem: FamilyMember = mem):
-            idx = index_gamma(mem.form)
-            wg = winding_gamma_numeric(mem.form)
-            wa = winding_alpha_numeric(mem.form)
-            return {
-                "expected": f"gamma winding {idx}, jet winding {idx - 2}",
-                "got": f"gamma winding {wg}, jet winding {wa}",
-                "pass": wg == idx and wa == idx - 2,
-                "comparison": "winding rounded from < 0.1 rev residual",
-            }
-        jobs.append(
-            (f"winding/D={mem.form.degree:02d}/{mem.label}", windings)
-        )
+        cases.add(f"winding/D={mem.form.degree:02d}/{mem.label}", windings, mem)
+
+    def zvc(mem: FamilyMember):
+        z, c = zeros_vs_critical_points(mem.form)
+        return _holds("zeros == critical points", z == c, f"{z} != {c}")
     zvc_members = list(table1(min(d_max, 12))) + [
         m for m in members if m.form.degree <= 12
     ]
     for i, mem in enumerate(zvc_members):
-        def zvc(mem: FamilyMember = mem):
-            z, c = zeros_vs_critical_points(mem.form)
-            return _holds("zeros == critical points", z == c, f"{z} != {c}")
-        jobs.append((f"winding/zeros-vs-critical/{i:03d}/{mem.label}", zvc))
-    return _run("winding", jobs, t0)
+        cases.add(f"winding/zeros-vs-critical/{i:03d}/{mem.label}", zvc, mem)
+    return cases.report()
 
 
 # ------------------------------------------------------------- obs_arnold
@@ -519,28 +519,28 @@ def suite_obs_arnold(d_max: int = 16) -> SuiteReport:
     """For odd degrees 9 and up the harmonic-power table reaches no index -1
     entry while the representative set does; for odd degrees 3..7 the table
     still contains index -1."""
-    _check_range("obs_arnold", d_max)
-    t0 = time.perf_counter()
-    jobs = []
+    cases = _Cases("obs_arnold", d_max)
     rows: dict[int, set[int]] = {}
     for mem in table1(d_max):
         rows.setdefault(mem.form.degree, set()).add(mem.expected_index)
+
+    def gap(d: int):
+        table_has = -1 in rows.get(d, set())
+        reps_have = -1 in {m.expected_index for m in representatives(d)}
+        return _exact(
+            "table misses -1, representatives reach it",
+            f"table {'has' if table_has else 'misses'} -1, representatives "
+            f"{'reach' if reps_have else 'miss'} it",
+        )
+
+    def nogap(d: int):
+        return _holds("table contains -1", -1 in rows.get(d, set()), "missing")
     for d in range(3, d_max + 1, 2):
         if d >= 9:
-            def gap(d: int = d):
-                table_has = -1 in rows.get(d, set())
-                reps_have = -1 in {m.expected_index for m in representatives(d)}
-                return _exact(
-                    "table misses -1, representatives reach it",
-                    f"table {'has' if table_has else 'misses'} -1, representatives "
-                    f"{'reach' if reps_have else 'miss'} it",
-                )
-            jobs.append((f"obs_arnold/gap/D={d:02d}", gap))
+            cases.add(f"obs_arnold/gap/D={d:02d}", gap, d)
         else:
-            def nogap(d: int = d):
-                return _holds("table contains -1", -1 in rows.get(d, set()), "missing")
-            jobs.append((f"obs_arnold/covered/D={d:02d}", nogap))
-    return _run("obs_arnold", jobs, t0)
+            cases.add(f"obs_arnold/covered/D={d:02d}", nogap, d)
+    return cases.report()
 
 
 # --------------------------------------------------------------- poincare
@@ -550,50 +550,66 @@ def suite_poincare(d_max: int = 12) -> SuiteReport:
     """The turning index of a null-direction field at the origin is half the
     degenerate-cone winding on every representative, and matches the closed
     forms for the generated families."""
-    _check_range("poincare", d_max)
-    t0 = time.perf_counter()
-    jobs = []
+    cases = _Cases("poincare", d_max)
+
+    def halving(mem: FamilyMember):
+        want = Fraction(index_gamma(mem.form), 2)
+        return _exact(want, poincare_index_origin(mem.form))
     for d in _rep_degrees(d_max):
         for mem in representatives(d):
-            def halving(mem: FamilyMember = mem):
-                want = Fraction(index_gamma(mem.form), 2)
-                return _exact(want, poincare_index_origin(mem.form))
-            jobs.append((f"poincare/halving/D={d:02d}/{mem.label}", halving))
+            cases.add(f"poincare/halving/D={d:02d}/{mem.label}", halving, mem)
 
-    closed: list[tuple[str, FamilyMember, Fraction]] = []
+    def closed(mem: FamilyMember, want: Fraction):
+        return _exact(want, poincare_index_origin(mem.form))
     for k in range(1, 5):
-        closed.append(
-            (f"line-product odd k={k}", p_factorized(k), Fraction(1 - k) - Fraction(1, 2))
-        )
-        closed.append(
-            (f"line-product even k={k}", p_factorized(k, even=True), Fraction(-k))
-        )
+        cases.add(f"poincare/closed-form/line-product odd k={k}",
+                  closed, p_factorized(k), Fraction(1 - k) - Fraction(1, 2))
+        cases.add(f"poincare/closed-form/line-product even k={k}",
+                  closed, p_factorized(k, even=True), Fraction(-k))
     for n, k in ((1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
-        closed.append(
-            (f"padded odd n={n},k={k}", f_family(n, k), Fraction(1 - k) - Fraction(1, 2))
-        )
+        cases.add(f"poincare/closed-form/padded odd n={n},k={k}",
+                  closed, f_family(n, k), Fraction(1 - k) - Fraction(1, 2))
     for n, k in ((1, 1), (1, 2), (2, 1)):
-        closed.append(
-            (
-                f"padded even n={n},k={k}",
-                f_family(n, k, even=True),
-                Fraction(-k),
-            )
-        )
+        cases.add(f"poincare/closed-form/padded even n={n},k={k}",
+                  closed, f_family(n, k, even=True), Fraction(-k))
     for n in (2, 3, 4):
-        closed.append((f"even-pad pair n={n}", g_even(n), Fraction(0)))
-    for name, mem, want in closed:
-        def closed_case(mem: FamilyMember = mem, want: Fraction = want):
-            return _exact(want, poincare_index_origin(mem.form))
-        jobs.append((f"poincare/closed-form/{name}", closed_case))
-    return _run("poincare", jobs, t0)
+        cases.add(f"poincare/closed-form/even-pad pair n={n}", closed, g_even(n), Fraction(0))
+    return cases.report()
 
 
 # -------------------------------------------------------------- isotopies
 
 
-def _isotopy_pairs() -> list[tuple[str, BinaryForm, BinaryForm, int]]:
-    out = []
+def suite_isotopies() -> SuiteReport:
+    """The mixed-derivative identity holds exactly, the cross-term form's
+    discriminant is strictly positive off the origin, and the three
+    deformation families certify positive on the five-point grid for every
+    pair whose product is hyperbolic; the boundary pair (degree-3 lines,
+    n=1) fails exactly at the endpoint that equals the non-hyperbolic
+    degree-5 product."""
+    cases = _Cases("isotopies")
+
+    def pair_case(p: BinaryForm, q: BinaryForm, n: int):
+        ratio = Fraction(2 * n, p.degree - 1)
+        checks = check_isotopies(p, q)  # raises if the identity fails
+        _, psi, _ = checks
+        pos = Fraction(1) not in psi.failed_ts  # psi(1) is the cross-term form
+        all_true = all(c.verdict for c in checks)
+        return _exact(
+            f"identity ratio {ratio}; discriminant positive; "
+            "phi/psi/gamma_t all true",
+            f"identity ratio {ratio}; discriminant "
+            f"{'positive' if pos else 'NOT positive'}; "
+            + (
+                "phi/psi/gamma_t all true"
+                if all_true
+                else "; ".join(
+                    f"{c.kind} fails at t in {list(c.failed_ts)}"
+                    for c in checks
+                    if not c.verdict
+                )
+            ),
+        )
     for k, even, n in (
         (1, False, 2),
         (1, False, 3),
@@ -605,42 +621,7 @@ def _isotopy_pairs() -> list[tuple[str, BinaryForm, BinaryForm, int]]:
         (3, False, 1),
     ):
         p = p_factorized(k, even=even).form
-        out.append((f"degP={p.degree},n={n}", p, even_pad(n), n))
-    return out
-
-
-def suite_isotopies() -> SuiteReport:
-    """The mixed-derivative identity holds exactly, the cross-term form's
-    discriminant is strictly positive off the origin, and the three
-    deformation families certify positive on the five-point grid for every
-    pair whose product is hyperbolic; the boundary pair (degree-3 lines,
-    n=1) fails exactly at the endpoint that equals the non-hyperbolic
-    degree-5 product."""
-    t0 = time.perf_counter()
-    jobs = []
-    for name, p, q, n in _isotopy_pairs():
-        def pair_case(name=name, p=p, q=q, n=n):
-            ratio = Fraction(2 * n, p.degree - 1)
-            checks = check_isotopies(p, q)  # raises if the identity fails
-            _, psi, _ = checks
-            pos = Fraction(1) not in psi.failed_ts  # psi(1) is the cross-term form
-            all_true = all(c.verdict for c in checks)
-            return _exact(
-                f"identity ratio {ratio}; discriminant positive; "
-                "phi/psi/gamma_t all true",
-                f"identity ratio {ratio}; discriminant "
-                f"{'positive' if pos else 'NOT positive'}; "
-                + (
-                    "phi/psi/gamma_t all true"
-                    if all_true
-                    else "; ".join(
-                        f"{c.kind} fails at t in {list(c.failed_ts)}"
-                        for c in checks
-                        if not c.verdict
-                    )
-                ),
-            )
-        jobs.append((f"isotopies/pair/{name}", pair_case))
+        cases.add(f"isotopies/pair/degP={p.degree},n={n}", pair_case, p, even_pad(n), n)
 
     def boundary():
         p = p_factorized(1).form
@@ -653,7 +634,7 @@ def suite_isotopies() -> SuiteReport:
             f"psi {str(checks['psi'].verdict).lower()}; "
             f"gamma_t {str(checks['gamma_t'].verdict).lower()}",
         )
-    jobs.append(("isotopies/boundary-pair degP=3,n=1", boundary))
+    cases.add("isotopies/boundary-pair degP=3,n=1", boundary)
 
     def repeated():
         p = parse_form("x^2*(x^2 - y^2)")
@@ -662,8 +643,8 @@ def suite_isotopies() -> SuiteReport:
             return _exact("rejected (repeated factor)", "accepted")
         except ValueError:
             return _exact("rejected (repeated factor)", "rejected (repeated factor)")
-    jobs.append(("isotopies/repeated-factor rejection", repeated))
-    return _run("isotopies", jobs, t0)
+    cases.add("isotopies/repeated-factor rejection", repeated)
+    return cases.report()
 
 
 # ---------------------------------------------------------------- driver

@@ -1235,7 +1235,6 @@ def test_linear_extension_matches_direct_certification():
     while checked < 40:
         # products of distinct lines through rational slopes are hyperbolic
         slopes = rng.sample(range(-6, 7), rng.randint(2, 5))
-        f = parse_form("x^2 - y^2")
         f = BinaryForm(0, (Fraction(1),))
         for s in slopes:
             f = f * LinearForm(Fraction(1), Fraction(-s)).to_form()

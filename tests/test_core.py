@@ -1,6 +1,7 @@
 """Exact polynomial plumbing: parsing, formatting, ring ops, derivatives."""
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -19,7 +20,14 @@ from hypforms import (
     parse_form,
     rotational_derivative,
 )
+from hypforms.asymptotics import (
+    QuadFormAt,
+    asymptotic_residual,
+    discriminant_omega,
+    second_fundamental_form,
+)
 from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE, MAX_NESTING
+from hypforms.families import even_pad, representatives
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -362,3 +370,42 @@ def test_parentheses_nest_up_to_the_limit():
 def test_parentheses_nested_above_the_limit_are_rejected(levels):
     with pytest.raises(ParseError, match="parentheses nested above the limit of 100 levels"):
         parse_form("(" * levels + "x^3" + ")" * levels)
+
+
+_ONE = BinaryForm(0, (Fraction(1),))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: BinaryForm(1, (1.0, 2)), TypeError,
+                 "expected an exact rational, got float", id="BinaryForm-float"),
+    pytest.param(lambda: BinaryForm(-1, ()), ValueError, "degree must be >= 0",
+                 id="BinaryForm-negative-degree"),
+    pytest.param(lambda: BinaryForm(2, (1, 2)), ValueError,
+                 "degree 2 needs 3 coefficients, got 2", id="BinaryForm-coefficient-count"),
+    pytest.param(lambda: BinaryForm.monomial(2, 3), ValueError, "y_power out of range",
+                 id="monomial"),
+    pytest.param(lambda: parse_form("x") + parse_form("x^2"), ValueError,
+                 "degree mismatch: 1 vs 2", id="add"),
+    pytest.param(lambda: parse_form("x") ** -1, ValueError, "negative power", id="pow"),
+    pytest.param(_ONE.partial_x, ValueError, "partial derivative needs degree >= 1",
+                 id="partial_x"),
+    pytest.param(_ONE.partial_y, ValueError, "partial derivative needs degree >= 1",
+                 id="partial_y"),
+    pytest.param(lambda: rotational_derivative(_ONE), ValueError,
+                 "rotational derivative needs degree >= 1", id="rotational_derivative"),
+    pytest.param(lambda: euler_check(_ONE), ValueError, "euler_check needs degree >= 1",
+                 id="euler_check"),
+    pytest.param(lambda: LinearForm(0, 0), ValueError, "linear form must be nonzero",
+                 id="LinearForm"),
+    pytest.param(lambda: representatives(2), ValueError, "representatives need degree >= 3",
+                 id="representatives"),
+    pytest.param(lambda: second_fundamental_form(parse_form("x"), 1.0, 0.0), ValueError,
+                 "second partials need degree >= 2", id="second_fundamental_form"),
+    pytest.param(lambda: asymptotic_residual(QuadFormAt(1.0, 0.0, -1.0, (1.0, 0.0)), (0.0, 0.0)),
+                 ValueError, "direction must be nonzero", id="asymptotic_residual"),
+    pytest.param(lambda: discriminant_omega(parse_form("x"), even_pad(1)), ValueError,
+                 "line-product factor must have degree >= 2", id="discriminant_omega"),
+])
+def test_input_guards_reject_inputs_outside_their_domain(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
