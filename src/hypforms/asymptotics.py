@@ -240,13 +240,15 @@ def integrate_curve(
     at = _second_partials_float(f)
     min_dot = math.cos(math.pi / 4.0)  # consecutive directions turn by under 45 degrees
 
+    def units(x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        v1, v2 = _null_vectors(*at(x, y))
+        return _unit(*v1), _unit(*v2)
+
     def aligned(x: float, y: float, ref: tuple[float, float]) -> tuple[float, float]:
         # Null direction at (x, y) closest to ref, sign-matched to ref.
         best = None
         best_dot = 0.0
-        a, b, c = at(x, y)
-        v1, v2 = _null_vectors(a, b, c)
-        for w in (_unit(*v1), _unit(*v2)):
+        for w in units(x, y):
             d = w[0] * ref[0] + w[1] * ref[1]
             if abs(d) > abs(best_dot):
                 best, best_dot = w, d
@@ -260,11 +262,7 @@ def integrate_curve(
             )
         return best
 
-    a, b, c = at(sx, sy)
-    v1, v2 = _null_vectors(a, b, c)
-    by_angle = sorted(
-        (_unit(*v1), _unit(*v2)), key=lambda w: math.atan2(w[1], w[0]) % math.pi
-    )
+    by_angle = sorted(units(sx, sy), key=lambda w: math.atan2(w[1], w[0]) % math.pi)
     d0 = by_angle[0] if field_choice == "F1" else by_angle[1]
     arm_steps = int((max_len / 2.0) / step)
 

@@ -42,7 +42,7 @@ from typing import Iterator
 
 from .core import (
     BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly,
-    _cleared, _deriv, _dx, _dy, _hom_eval, _mul_int, _over, _rot, _trim,
+    _cleared, _deriv, _dx, _hom_eval, _mul_int, _over, _rot, _trim,
 )
 
 # ---------------------------------------------------------------------------
@@ -527,8 +527,8 @@ def hessian(f: BinaryForm) -> BinaryForm:
         raise ValueError("hessian needs degree >= 2")
     c, den = _cleared(f.coeffs)
     cx = _dx(c)
-    cxy = _dy(cx)
-    h = _mul_int(_dx(cx), _dy(_dy(c)))
+    cxy = _deriv(cx)
+    h = _mul_int(_dx(cx), _deriv(_deriv(c)))
     for i, v in enumerate(_mul_int(cxy, cxy)):
         h[i] -= v
     return BinaryForm(2 * f.degree - 4, _over(h, den * den))

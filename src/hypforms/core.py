@@ -8,7 +8,8 @@ A binary form of degree D is stored densely as the coefficient tuple
 Coefficients are exact rationals (fractions.Fraction), but every product,
 derivative and exact evaluation runs in the integer kernel below, on the
 integer list that clears the coefficients over one common denominator;
-Fraction appears only where a result leaves the kernel.  Floats only appear
+Fraction appears only where a result leaves the kernel.  UniPoly and
+BinaryForm share its arithmetic and its one derivative.  Floats only appear
 in BinaryForm.eval_float, the one float evaluator behind the numeric
 cross-checks, the direction lift and the curve stepper.  It converts the
 coefficients to floats on its first call and caches them on the instance,
@@ -47,9 +48,10 @@ def _rat(v) -> Fraction:
 # integer polynomial kernel
 #
 # Dense lists of ints.  A polynomial is sum c[i] * t^i and a form of degree n
-# is sum c[i] * x^(n-i) * y^i, so one product serves both.  Rationals enter
-# through _cleared (ints over the lcm of the denominators) and leave through
-# _over; everything between runs on ints, free of Fraction normalisation.
+# is sum c[i] * x^(n-i) * y^i, so one product serves both, and one derivative
+# serves d/dt and d/dy.  Rationals enter through _cleared (ints over the lcm
+# of the denominators) and leave through _over; everything between runs on
+# ints, free of Fraction normalisation.
 # ---------------------------------------------------------------------------
 
 
@@ -79,13 +81,9 @@ def _dx(c: list[int]) -> list[int]:
     return [(n - i) * c[i] for i in range(n)]
 
 
-def _dy(c: list[int]) -> list[int]:
-    return [(i + 1) * c[i + 1] for i in range(len(c) - 1)]
-
-
 def _rot(c: list[int]) -> list[int]:
     """x*c_y - y*c_x, the same degree as c."""
-    xcy = _dy(c) + [0]
+    xcy = _deriv(c) + [0]
     ycx = [0] + _dx(c)
     return [u - v for u, v in zip(xcy, ycx)]
 
@@ -115,6 +113,29 @@ def _over(c: list[int], den: int) -> tuple[Fraction, ...]:
     if den == 1:
         return tuple(map(Fraction, c))
     return tuple(Fraction(v, den) for v in c)
+
+
+class _Arithmetic:
+    """Negation, difference, products and the zero test of UniPoly and
+    BinaryForm, which each build a result of their own type with _new."""
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __neg__(self):
+        return self._new(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            a, da = _cleared(self.coeffs)
+            b, db = _cleared(other.coeffs)
+            return self._new(_over(_mul_int(a, b), da * db))
+        return self._new(tuple(c * _rat(other) for c in self.coeffs))
+
+    __rmul__ = __mul__
 
 
 def _power(var: str, e: int) -> str:
@@ -147,7 +168,7 @@ def _signed_sum(terms) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UniPoly:
+class UniPoly(_Arithmetic):
     """Dense univariate polynomial: coeffs[i] multiplies t^i, no trailing zeros."""
 
     coeffs: tuple[Fraction, ...]
@@ -171,9 +192,6 @@ class UniPoly:
         # the zero polynomial reports degree -1
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: UniPoly) -> UniPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -183,21 +201,8 @@ class UniPoly:
             out[i] += c
         return UniPoly(tuple(out))
 
-    def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            a, da = _cleared(self.coeffs)
-            b, db = _cleared(other.coeffs)
-            return UniPoly(_over(_mul_int(a, b), da * db))
-        return UniPoly(tuple(c * _rat(other) for c in self.coeffs))
-
-    def __rmul__(self, other) -> UniPoly:
-        return self * other
+    def _new(self, cs):
+        return UniPoly(cs)
 
     def derivative(self) -> UniPoly:
         c, den = _cleared(self.coeffs)
@@ -220,7 +225,7 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(_Arithmetic):
     """Homogeneous polynomial in x, y; the zero form keeps its nominal degree."""
 
     degree: int
@@ -247,9 +252,6 @@ class BinaryForm:
         cs = [Fraction(0)] * (degree + 1)
         cs[y_power] = Fraction(1)
         return BinaryForm(degree, tuple(cs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def eval(self, x, y) -> Fraction:
         # f(p/q, r/s) = (sum c_i * (p*s)^(D-i) * (r*q)^i) / (q*s)^D
@@ -280,21 +282,8 @@ class BinaryForm:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> BinaryForm:
-        return BinaryForm(self.degree, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: BinaryForm) -> BinaryForm:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, BinaryForm):
-            a, da = _cleared(self.coeffs)
-            b, db = _cleared(other.coeffs)
-            return BinaryForm(self.degree + other.degree, _over(_mul_int(a, b), da * db))
-        return BinaryForm(self.degree, tuple(c * _rat(other) for c in self.coeffs))
-
-    def __rmul__(self, other) -> BinaryForm:
-        return self * other
+    def _new(self, cs):
+        return BinaryForm(len(cs) - 1, cs)
 
     def __pow__(self, n: int) -> BinaryForm:
         if n < 0:
@@ -314,7 +303,7 @@ class BinaryForm:
         if self.degree == 0:
             raise ValueError("partial derivative needs degree >= 1")
         c, den = _cleared(self.coeffs)
-        return BinaryForm(self.degree - 1, _over(_dy(c), den))
+        return BinaryForm(self.degree - 1, _over(_deriv(c), den))
 
     def restrict(self, chart: str) -> UniPoly:
         """Dehomogenize: chart "x=1" gives f(1, t), chart "y=1" gives f(t, 1)."""

@@ -19,6 +19,7 @@ from hypforms import (
     index_gamma,
     integrate_curve,
     is_negative_form,
+    p_factorized,
     parse_form,
     poincare_index_origin,
     polylines_to_csv,
@@ -26,6 +27,9 @@ from hypforms import (
     representatives,
     second_fundamental_form,
 )
+from hypforms.asymptotics import ISOTOPY_GRID
+from hypforms.core import second_partials
+from hypforms.families import even_pad
 
 F3 = parse_form("x^3 - x*y^2")        # three lines: x=0, y=+-x
 F4 = parse_form("x^3*y - x*y^3")      # four lines: x=0, y=0, y=+-x
@@ -362,3 +366,35 @@ def test_check_isotopies_decides_the_cross_term_form_once(monkeypatch):
     assert checks["phi"].failed_ts == (Fraction(0),)
     assert checks["psi"].failed_ts == (Fraction(1),)
     assert checks["gamma_t"].verdict
+
+
+# the eight pairs of the isotopies suite, then its boundary pair
+ISOTOPY_PAIRS = [(1, False, 2), (1, False, 3), (1, True, 1), (1, True, 2),
+                 (2, False, 1), (2, False, 2), (2, True, 1), (3, False, 1), (1, False, 1)]
+
+
+@pytest.mark.parametrize("k, even, n", ISOTOPY_PAIRS)
+def test_check_isotopies_decides_the_family_discriminants(monkeypatch, k, even, n):
+    # phi(t) = (pq)'' - (1 - t) p q'' and psi(t) = q p'' + t ((pq)'' - p q'' - q p''),
+    # built here from the second partials alone
+    p, q = p_factorized(k, even=even).form, even_pad(n)
+    pq2, p2, q2 = second_partials(p * q), second_partials(p), second_partials(q)
+
+    def disc(a, b, c):
+        return a * c - b * b
+
+    expected = set()
+    for t in ISOTOPY_GRID:
+        expected.add(disc(*(w - (1 - t) * p * v for w, v in zip(pq2, q2))))
+        expected.add(disc(*(q * u + t * (w - p * v - q * u)
+                            for w, u, v in zip(pq2, p2, q2))))
+    decided = []
+
+    def recording(h):
+        decided.append(h)
+        return is_negative_form(h)
+
+    monkeypatch.setattr(asymptotics, "is_negative_form", recording)
+    check_isotopies(p, q)
+    assert len(expected) == 9
+    assert len(decided) == 9 and set(decided) == expected
