@@ -66,21 +66,17 @@ class IsotopyCheck:
 
 
 def second_fundamental_form(f: BinaryForm, x: float, y: float) -> QuadFormAt:
-    """Second partial derivatives of f at (x, y), evaluated exactly over the
-    rationals and only then rounded to float.  The base point must not be
-    the origin."""
+    """Second partial derivatives of f at (x, y), read in floats by
+    BinaryForm.eval_float as in the direction lift and the curve stepper.
+    The base point must not be the origin.  Raises OverflowError when a
+    coefficient or a power has no float value."""
     if f.degree < 2:
         raise ValueError("second partials need degree >= 2")
     if x == 0 and y == 0:
         raise ValueError("base point must differ from the origin")
-    fxx, fxy, fyy = second_partials(f)
-    qx, qy = Rat(x), Rat(y)
-    return QuadFormAt(
-        float(fxx.eval(qx, qy)),
-        float(fxy.eval(qx, qy)),
-        float(fyy.eval(qx, qy)),
-        (float(x), float(y)),
-    )
+    at = (float(x), float(y))
+    fxx, fxy, fyy = (p.eval_float(*at) for p in second_partials(f))
+    return QuadFormAt(fxx, fxy, fyy, at)
 
 
 def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -98,6 +94,8 @@ def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tu
 def asymptotic_directions(q: QuadFormAt) -> tuple[float, float]:
     """The two null directions of q as angles in [0, pi), ascending.
     Scaling q by a nonzero constant leaves the result unchanged."""
+    if not math.isfinite(q.discriminant):
+        raise ValueError(f"no null directions: discriminant {q.discriminant!r} is not finite")
     if q.discriminant <= 0.0:
         raise ValueError("no real null directions: discriminant <= 0")
     v1, v2 = _null_vectors(q.a, q.b, q.c)
@@ -134,23 +132,16 @@ def poincare_index_origin(f: BinaryForm) -> Fraction:
     """
     require_hyperbolic(f)
     at = _second_partials_float(f)
-    cache: dict[float, tuple[float, float]] = {}
 
     def dirs(phi: float) -> tuple[float, float]:
-        got = cache.get(phi)
-        if got is not None:
-            return got
-        a, b, c = at(math.cos(phi), math.sin(phi))
-        v1, v2 = _null_vectors(a, b, c)
-        out = (math.atan2(v1[1], v1[0]), math.atan2(v2[1], v2[0]))
-        cache[phi] = out
-        return out
+        v1, v2 = _null_vectors(*at(math.cos(phi), math.sin(phi)))
+        return math.atan2(v1[1], v1[0]), math.atan2(v2[1], v2[0])
 
-    def jumps(theta: float, phi: float) -> tuple[float, float]:
+    def jumps(theta: float, cands: tuple[float, float]) -> tuple[float, float]:
         # Signed angle from theta to each candidate direction, modulo pi,
         # ordered by magnitude.
         ds = []
-        for cand in dirs(phi):
+        for cand in cands:
             d = (cand - theta) % math.pi
             if d > math.pi / 2.0:
                 d -= math.pi
@@ -165,12 +156,13 @@ def poincare_index_origin(f: BinaryForm) -> Fraction:
         # A step is accepted only when the nearest candidate clearly beats
         # the other root AND the jump composed through the midpoint agrees,
         # which rules out a fast near-pi swing aliasing to a small jump.
-        d1, d2 = jumps(theta, phi1)
+        dirs1 = dirs(phi1)
+        d1, d2 = jumps(theta, dirs1)
         if unambiguous(d1, d2):
             mid = 0.5 * (phi0 + phi1)
-            m1, m2 = jumps(theta, mid)
+            m1, m2 = jumps(theta, dirs(mid))
             if unambiguous(m1, m2):
-                e1, _ = jumps(theta + m1, phi1)
+                e1, _ = jumps(theta + m1, dirs1)
                 if abs(m1 + e1 - d1) < 1e-9:
                     return theta + d1
         if depth >= _MAX_DEPTH:

@@ -11,9 +11,9 @@ integer list that clears the coefficients over one common denominator;
 Fraction appears only where a result leaves the kernel.  UniPoly and
 BinaryForm share its arithmetic and its one derivative.  Floats only appear
 in BinaryForm.eval_float, the one float evaluator behind the numeric
-cross-checks, the direction lift and the curve stepper.  It converts the
-coefficients to floats on its first call and caches them on the instance,
-so forms that are never evaluated in floats pay nothing.
+cross-checks, the lift, the curve stepper and second_fundamental_form.  It
+converts the coefficients to floats on its first call and caches them on
+the instance, so forms that are never evaluated in floats pay nothing.
 """
 
 from __future__ import annotations

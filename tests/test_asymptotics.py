@@ -2,6 +2,7 @@
 cross-term discriminants, and deformation checks."""
 
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -27,7 +28,8 @@ from hypforms import (
     representatives,
     second_fundamental_form,
 )
-from hypforms.asymptotics import ISOTOPY_GRID
+from hypforms.asymptotics import ISOTOPY_GRID, QuadFormAt
+from hypforms.classify import _second_partials_float
 from hypforms.core import second_partials
 from hypforms.families import even_pad
 
@@ -65,6 +67,40 @@ def test_asymptotic_directions_need_positive_discriminant():
         asymptotic_directions(q)
 
 
+@pytest.mark.parametrize("a, b, c, message", [
+    pytest.param(math.nan, 0.0, 0.0, "no null directions: discriminant nan is not finite",
+                 id="nan-a"),
+    pytest.param(1.0, math.nan, -1.0, "no null directions: discriminant nan is not finite",
+                 id="nan-b"),
+    pytest.param(math.inf, 1.0, -1.0, "no null directions: discriminant inf is not finite",
+                 id="inf-a"),
+    pytest.param(0.0, -math.inf, 0.0, "no null directions: discriminant inf is not finite",
+                 id="inf-b"),
+    pytest.param(math.inf, 0.0, 0.0, "no null directions: discriminant nan is not finite",
+                 id="inf-times-zero"),
+    pytest.param(1.0, 0.0, 1.0, "no real null directions: discriminant <= 0", id="negative"),
+    pytest.param(0.0, 0.0, 0.0, "no real null directions: discriminant <= 0", id="zero"),
+])
+def test_asymptotic_directions_reject_a_discriminant_that_is_not_positive_and_finite(
+        a, b, c, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        asymptotic_directions(QuadFormAt(a, b, c, (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("d", [5, 9, 13])
+def test_second_fundamental_form_is_the_form_the_stepper_reads(d):
+    # the lift and the curve stepper read _second_partials_float; the
+    # pointwise form must give the same floats, not a nearby rounding
+    rng = random.Random(2200 + d)
+    for member in representatives(d):
+        at = _second_partials_float(member.form)
+        for _ in range(20):
+            x, y = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            q = second_fundamental_form(member.form, x, y)
+            assert (q.a, q.b, q.c) == at(x, y), (member.label, x, y)
+            assert q.at == (x, y)
+
+
 # ----------------------------------------------------------- index halving
 
 
@@ -78,6 +114,14 @@ def test_poincare_index_halves_gamma_index():
     for text in ("x^3 - x*y^2", "x^3*y - x*y^3", "x^2 - 5*y^2"):
         f = parse_form(text)
         assert poincare_index_origin(f) == Fraction(index_gamma(f), 2)
+
+
+@pytest.mark.parametrize("d", range(13, 18))
+def test_poincare_index_halves_the_stored_index_through_degree_17(d):
+    # the docstring validates the lift on every representative with D <= 17
+    for member in representatives(d):
+        assert poincare_index_origin(member.form) == Fraction(member.expected_index, 2), \
+            member.label
 
 
 def test_poincare_rejects_non_hyperbolic():

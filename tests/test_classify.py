@@ -18,6 +18,7 @@ from hypforms import (
     index_gamma,
     num_components,
     parse_form,
+    representatives,
     winding_alpha_numeric,
     winding_gamma_numeric,
     zeros_vs_critical_points,
@@ -115,6 +116,20 @@ def test_winding_matches_index_on_small_forms():
         idx = index_gamma(f)
         assert winding_gamma_numeric(f) == idx
         assert winding_gamma_numeric(f) == 2 + winding_alpha_numeric(f)
+
+
+# the docstrings validate the gamma winding on every representative with
+# D <= 25 and the alpha winding with D <= 23; the winding suite checks D <= 16
+@pytest.mark.parametrize("d", range(17, 26))
+def test_gamma_winding_gives_the_stored_index_through_degree_25(d):
+    for member in representatives(d):
+        assert winding_gamma_numeric(member.form) == member.expected_index, member.label
+
+
+@pytest.mark.parametrize("d", range(17, 24))
+def test_alpha_winding_gives_the_stored_index_minus_2_through_degree_23(d):
+    for member in representatives(d):
+        assert winding_alpha_numeric(member.form) == member.expected_index - 2, member.label
 
 
 def test_winding_of_a_curve_that_jumps_by_half_a_turn_exhausts_the_bisection():
