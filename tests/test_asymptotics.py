@@ -11,6 +11,7 @@ import pytest
 
 from hypforms import asymptotics
 from hypforms import (
+    QuadFormAt,
     RefinementError,
     asymptotic_directions,
     asymptotic_residual,
@@ -28,7 +29,7 @@ from hypforms import (
     representatives,
     second_fundamental_form,
 )
-from hypforms.asymptotics import ISOTOPY_GRID, QuadFormAt
+from hypforms.asymptotics import ISOTOPY_GRID
 from hypforms.classify import _second_partials_float
 from hypforms.core import second_partials
 from hypforms.families import even_pad
