@@ -93,12 +93,16 @@ def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tu
 
 def asymptotic_directions(q: QuadFormAt) -> tuple[float, float]:
     """The two null directions of q as angles in [0, pi), ascending.
-    Scaling q by a nonzero constant leaves the result unchanged."""
-    if not math.isfinite(q.discriminant):
+    Scaling q by a nonzero constant leaves the result unchanged, so a, b
+    and c are divided by the largest of |a|, |b| and |c| before the
+    discriminant is formed: finite entries never overflow it."""
+    if not all(map(math.isfinite, (q.a, q.b, q.c))):
         raise ValueError(f"no null directions: discriminant {q.discriminant!r} is not finite")
-    if q.discriminant <= 0.0:
+    s = max(abs(q.a), abs(q.b), abs(q.c)) or 1.0
+    a, b, c = q.a / s, q.b / s, q.c / s
+    if b * b - a * c <= 0.0:
         raise ValueError("no real null directions: discriminant <= 0")
-    v1, v2 = _null_vectors(q.a, q.b, q.c)
+    v1, v2 = _null_vectors(a, b, c)
     angles = sorted(math.atan2(v[1], v[0]) % math.pi for v in (v1, v2))
     return angles[0], angles[1]
 
@@ -106,7 +110,10 @@ def asymptotic_directions(q: QuadFormAt) -> tuple[float, float]:
 def asymptotic_residual(q: QuadFormAt, direction: tuple[float, float]) -> float:
     """Normalized magnitude of q on a direction: |q(u, v)| for the unit
     vector along `direction`, divided by the coefficient norm of q.
-    Zero exactly when the direction is null for q."""
+    Zero exactly when the direction is null for q.  Raises ValueError when
+    q or the direction holds nan or inf."""
+    if not all(map(math.isfinite, (q.a, q.b, q.c, *direction))):
+        raise ValueError("quadratic form and direction must be finite")
     u, v = direction
     n = math.hypot(u, v)
     if n == 0.0:

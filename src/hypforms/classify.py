@@ -80,7 +80,7 @@ def num_components(degree: int) -> int:
     """
     if degree < 3:
         raise ValueError("component count needs degree >= 3")
-    return (degree - 1) // 2 if degree % 2 else degree // 2
+    return len(admissible_indices(degree))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import inspect
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .asymptotics import check_isotopies, poincare_index_origin
@@ -103,14 +103,7 @@ class SuiteReport:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "wall_time": self.wall_time,
-            "passed": self.passed,
-            "failed": self.failed,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "passed": self.passed, "failed": self.failed, "ok": self.ok}
 
     def summary_line(self) -> str:
         state = "ok" if self.ok else "FAILED"
@@ -152,6 +145,11 @@ class _Cases:
 def _rep_degrees(d_max: int) -> list[int]:
     """The degrees 3..d_max that have a representative set: all but 4."""
     return [d for d in range(3, d_max + 1) if d != 4]
+
+
+def _reps(d_max: int) -> list[FamilyMember]:
+    """Every representative of the degrees _rep_degrees(d_max), by degree."""
+    return [m for d in _rep_degrees(d_max) for m in representatives(d)]
 
 
 def _exact(expected, got) -> dict:
@@ -226,11 +224,15 @@ def suite_conjecture(d_max: int = 20) -> SuiteReport:
 # ----------------------------------------------------------------- lemmas
 
 
+def _mono(e: int, c: int = 1) -> UniPoly:
+    """The monomial c * x^e."""
+    return UniPoly(tuple([Fraction(0)] * e + [Fraction(c)]))
+
+
 def _bump_poly(n: int) -> UniPoly:
     # (1 - x^2)^2 * x^(2n-2)
     sq = UniPoly((Fraction(1), Fraction(0), Fraction(-1)))
-    mono = UniPoly(tuple([Fraction(0)] * (2 * n - 2) + [Fraction(1)]))
-    return sq * sq * mono
+    return sq * sq * _mono(2 * n - 2)
 
 
 def _expansion_terms(n: int) -> list[tuple[int, int]]:
@@ -248,10 +250,7 @@ def _expansion_terms(n: int) -> list[tuple[int, int]]:
 
 
 def _terms_to_poly(terms: list[tuple[int, int]]) -> UniPoly:
-    out = UniPoly.zero()
-    for exp, coeff in terms:
-        out = out + UniPoly(tuple([Fraction(0)] * exp + [Fraction(coeff)]))
-    return out
+    return sum((_mono(exp, coeff) for exp, coeff in terms), UniPoly.zero())
 
 
 def _critical_point_case(n: int) -> dict:
@@ -260,7 +259,7 @@ def _critical_point_case(n: int) -> dict:
     there equals 4(n-1)^(n-1)/(n+1)^(n+1)."""
     gp = _bump_poly(n).derivative()
     # exact factorization of the derivative
-    lead = UniPoly(tuple([Fraction(0)] * (2 * n - 3) + [Fraction(1)]))
+    lead = _mono(2 * n - 3)
     quad = UniPoly((Fraction(2 * n - 2), Fraction(0), Fraction(-(2 * n + 2))))
     one_minus = UniPoly((Fraction(1), Fraction(0), Fraction(-1)))
     factored_ok = gp == lead * one_minus * quad
@@ -270,7 +269,7 @@ def _critical_point_case(n: int) -> dict:
     s = Fraction(n - 1, n + 1)
     # evaluate the bump as a polynomial in u = x^2 at u = s
     lin = UniPoly((Fraction(1), Fraction(-1)))
-    gu = lin * lin * UniPoly(tuple([Fraction(0)] * (n - 1) + [Fraction(1)]))
+    gu = lin * lin * _mono(n - 1)
     max_direct = gu(s)
     max_closed = Fraction(4 * (n - 1) ** (n - 1), (n + 1) ** (n + 1))
     return _exact(
@@ -420,9 +419,7 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
     witnesses actually witness, and the product-with-a-line Hessian identity
     holds with the extension criterion matching direct certification."""
     cases = _Cases("equivalence", d_max)
-    members = list(table1(min(d_max, 16)))
-    for d in _rep_degrees(d_max):
-        members.extend(representatives(d))
+    members = table1(min(d_max, 16)) + _reps(d_max)
 
     def fam(mem: FamilyMember):
         h = is_hyperbolic(mem.form).verdict
@@ -434,19 +431,13 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
     def rand(form: BinaryForm):
         h = is_hyperbolic(form)
         p = is_hyperbolic_polar(form)
-        agree = h.verdict == p.verdict
-        details = [f"verdicts {'agree' if agree else 'disagree'}"]
-        ok = agree
-        if not h.is_hyperbolic and h.witness is not None:
-            wx, wy = h.witness
-            good = hessian(form).eval(wx, wy) >= 0
-            ok = ok and good
-            details.append(f"hessian witness {'valid' if good else 'INVALID'}")
-        if not p.is_hyperbolic and p.witness is not None:
-            wx, wy = p.witness
-            good = polar_form(form).eval(wx, wy) >= 0
-            ok = ok and good
-            details.append(f"polar witness {'valid' if good else 'INVALID'}")
+        ok = h.verdict == p.verdict
+        details = [f"verdicts {'agree' if ok else 'disagree'}"]
+        for cert, target in ((h, hessian), (p, polar_form)):
+            if not cert.is_hyperbolic and cert.witness is not None:
+                good = target(form).eval(*cert.witness) >= 0
+                ok = ok and good
+                details.append(f"{cert.method} witness {'valid' if good else 'INVALID'}")
         return _holds("verdicts agree (witnesses valid)", ok, "; ".join(details))
     # the corpus is drawn as the cases are declared; no case reads rng
     rng = random.Random(seed)
@@ -484,18 +475,15 @@ def suite_winding(d_max: int = 12) -> SuiteReport:
     index and sits two above the winding of the circle-restriction jet curve;
     circle zero counts equal circle critical-point counts."""
     cases = _Cases("winding", d_max)
-    members: list[FamilyMember] = []
-    for d in _rep_degrees(d_max):
-        members.extend(representatives(d))
+    members = _reps(d_max)
 
     def windings(mem: FamilyMember):
         idx = index_gamma(mem.form)
         wg = winding_gamma_numeric(mem.form)
         wa = winding_alpha_numeric(mem.form)
         return {
-            "expected": f"gamma winding {idx}, jet winding {idx - 2}",
-            "got": f"gamma winding {wg}, jet winding {wa}",
-            "pass": wg == idx and wa == idx - 2,
+            **_exact(f"gamma winding {idx}, jet winding {idx - 2}",
+                     f"gamma winding {wg}, jet winding {wa}"),
             "comparison": "winding rounded from < 0.1 rev residual",
         }
     for mem in members:
@@ -555,9 +543,8 @@ def suite_poincare(d_max: int = 12) -> SuiteReport:
     def halving(mem: FamilyMember):
         want = Fraction(index_gamma(mem.form), 2)
         return _exact(want, poincare_index_origin(mem.form))
-    for d in _rep_degrees(d_max):
-        for mem in representatives(d):
-            cases.add(f"poincare/halving/D={d:02d}/{mem.label}", halving, mem)
+    for mem in _reps(d_max):
+        cases.add(f"poincare/halving/D={mem.form.degree:02d}/{mem.label}", halving, mem)
 
     def closed(mem: FamilyMember, want: Fraction):
         return _exact(want, poincare_index_origin(mem.form))

@@ -88,6 +88,14 @@ def test_asymptotic_directions_reject_a_discriminant_that_is_not_positive_and_fi
         asymptotic_directions(QuadFormAt(a, b, c, (1.0, 0.0)))
 
 
+def test_asymptotic_directions_survive_a_discriminant_that_overflows():
+    # q = (6e200, -2, -2e200) is finite, but b*b - a*c is not
+    q = second_fundamental_form(parse_form("x^3 - x*y^2"), 1e200, 1.0)
+    th1, th2 = asymptotic_directions(q)
+    assert th1 == pytest.approx(math.pi / 3, abs=1e-12)
+    assert th2 == pytest.approx(2 * math.pi / 3, abs=1e-12)
+
+
 @pytest.mark.parametrize("d", [5, 9, 13])
 def test_second_fundamental_form_is_the_form_the_stepper_reads(d):
     # the lift and the curve stepper read _second_partials_float; the

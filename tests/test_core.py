@@ -1,5 +1,6 @@
 """Exact polynomial plumbing: parsing, formatting, ring ops, derivatives."""
 
+import math
 import random
 import re
 import sys
@@ -403,6 +404,18 @@ _ONE = BinaryForm(0, (Fraction(1),))
                  "second partials need degree >= 2", id="second_fundamental_form"),
     pytest.param(lambda: asymptotic_residual(QuadFormAt(1.0, 0.0, -1.0, (1.0, 0.0)), (0.0, 0.0)),
                  ValueError, "direction must be nonzero", id="asymptotic_residual"),
+    pytest.param(lambda: asymptotic_residual(QuadFormAt(math.nan, 0.0, 0.0, (1.0, 0.0)), (1.0, 0.0)),
+                 ValueError, "quadratic form and direction must be finite",
+                 id="asymptotic_residual-nan-form"),
+    pytest.param(lambda: asymptotic_residual(QuadFormAt(math.inf, 1.0, -1.0, (1.0, 0.0)), (0.0, 1.0)),
+                 ValueError, "quadratic form and direction must be finite",
+                 id="asymptotic_residual-inf-form"),
+    pytest.param(lambda: asymptotic_residual(QuadFormAt(1.0, 0.0, -1.0, (1.0, 0.0)), (math.nan, 1.0)),
+                 ValueError, "quadratic form and direction must be finite",
+                 id="asymptotic_residual-nan-direction"),
+    pytest.param(lambda: asymptotic_residual(QuadFormAt(1.0, 0.0, -1.0, (1.0, 0.0)), (math.inf, 1.0)),
+                 ValueError, "quadratic form and direction must be finite",
+                 id="asymptotic_residual-inf-direction"),
     pytest.param(lambda: discriminant_omega(parse_form("x"), even_pad(1)), ValueError,
                  "line-product factor must have degree >= 2", id="discriminant_omega"),
 ])

@@ -45,6 +45,8 @@ def test_reports_are_sorted_and_complete():
         assert set(c) >= {"id", "expected", "got", "pass", "comparison"}
     d = report.to_dict()
     assert d["passed"] + d["failed"] == len(report.cases)
+    # the JSON key order of every verify report
+    assert list(d) == ["suite", "cases", "wall_time", "passed", "failed", "ok"]
 
 
 def test_run_all_returns_every_suite():
