@@ -111,7 +111,9 @@ def asymptotic_residual(q: QuadFormAt, direction: tuple[float, float]) -> float:
     """Normalized magnitude of q on a direction: |q(u, v)| for the unit
     vector along `direction`, divided by the coefficient norm of q.
     Zero exactly when the direction is null for q.  Raises ValueError when
-    q or the direction holds nan or inf."""
+    q or the direction holds nan or inf.  As in asymptotic_directions, a, b
+    and c are divided by the largest of |a|, |b| and |c| first, so that the
+    norm neither overflows nor underflows."""
     if not all(map(math.isfinite, (q.a, q.b, q.c, *direction))):
         raise ValueError("quadratic form and direction must be finite")
     u, v = direction
@@ -119,8 +121,10 @@ def asymptotic_residual(q: QuadFormAt, direction: tuple[float, float]) -> float:
     if n == 0.0:
         raise ValueError("direction must be nonzero")
     u, v = u / n, v / n
-    num = abs(q.a * u * u + 2.0 * q.b * u * v + q.c * v * v)
-    den = math.sqrt(q.a * q.a + 4.0 * q.b * q.b + q.c * q.c)
+    s = max(abs(q.a), abs(q.b), abs(q.c)) or 1.0
+    a, b, c = q.a / s, q.b / s, q.c / s
+    num = abs(a * u * u + 2.0 * b * u * v + c * v * v)
+    den = math.sqrt(a * a + 4.0 * b * b + c * c)
     return num / den if den > 0.0 else num
 
 
@@ -239,29 +243,36 @@ def integrate_curve(
     at = _second_partials_float(f)
     min_dot = math.cos(math.pi / 4.0)  # consecutive directions turn by under 45 degrees
 
-    def units(x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        v1, v2 = _null_vectors(*at(x, y))
-        return _unit(*v1), _unit(*v2)
-
     def aligned(x: float, y: float, ref: tuple[float, float]) -> tuple[float, float]:
-        # Null direction at (x, y) closest to ref, sign-matched to ref.
-        best = None
-        best_dot = 0.0
-        for w in units(x, y):
-            d = w[0] * ref[0] + w[1] * ref[1]
-            if abs(d) > abs(best_dot):
-                best, best_dot = w, d
-        if best_dot < 0.0:
-            best = (-best[0], -best[1])
-            best_dot = -best_dot
-        if best_dot <= min_dot:
+        # Null direction at (x, y) closest to ref, sign-matched to ref: the
+        # unit vectors of _null_vectors, written out in one frame.
+        a, b, c = at(x, y)
+        if a == 0.0:
+            u1, v1, u2, v2 = 1.0, 0.0, -c, 2.0 * b
+        else:
+            r = math.sqrt(b * b - a * c)
+            s = -(b + r) if b >= 0.0 else -b + r
+            u1, v1, u2, v2 = s, a, c, s
+        n = math.hypot(u1, v1)
+        u1, v1 = u1 / n, v1 / n
+        n = math.hypot(u2, v2)
+        u2, v2 = u2 / n, v2 / n
+        rx, ry = ref
+        dot = u1 * rx + v1 * ry
+        dot2 = u2 * rx + v2 * ry
+        if abs(dot2) > abs(dot):  # the first vector wins a tie
+            u1, v1, dot = u2, v2, dot2
+        if dot < 0.0:
+            u1, v1, dot = -u1, -v1, -dot
+        if dot <= min_dot:
             raise RefinementError(
                 f"direction lift broke at ({x!r}, {y!r}), "
                 f"{math.hypot(x, y):.3g} from the origin"
             )
-        return best
+        return u1, v1
 
-    by_angle = sorted(units(sx, sy), key=lambda w: math.atan2(w[1], w[0]) % math.pi)
+    by_angle = sorted((_unit(*v) for v in _null_vectors(*at(sx, sy))),
+                      key=lambda w: math.atan2(w[1], w[0]) % math.pi)
     d0 = by_angle[0] if field_choice == "F1" else by_angle[1]
     arm_steps = int((max_len / 2.0) / step)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BinaryForm, rotational_derivative, second_partials
+from .core import BinaryForm, eval_float3, rotational_derivative, second_partials
 from .certify import require_hyperbolic, sturm_count
 
 
@@ -29,16 +29,18 @@ _RESIDUAL = 0.1  # accepted distance to the nearest whole revolution
 def _second_partials_float(f: BinaryForm):
     """at(x, y) -> (f_xx, f_xy, f_yy) in floats, the one float evaluation of
     the second partials behind the gamma winding, the direction lift and the
-    curve stepper.  It raises OverflowError when the discriminant
-    b*b - a*c has no float value, and RefinementError when it is not
-    positive, so that no caller reads a degenerate or overflowed form."""
-    exx, exy, eyy = (p.eval_float for p in second_partials(f))
+    curve stepper.  The three sums run in one frame of core.eval_float3, so
+    each value is bit for bit its partial's eval_float.  It raises
+    OverflowError when the discriminant b*b - a*c has no float value, and
+    RefinementError when it is not positive, so that no caller reads a
+    degenerate or overflowed form."""
+    ev = eval_float3(*second_partials(f))
 
     def at(x: float, y: float) -> tuple[float, float, float]:
-        a, b, c = exx(x, y), exy(x, y), eyy(x, y)
+        a, b, c = abc = ev(x, y)
         disc = b * b - a * c
         if 0.0 < disc < math.inf:
-            return a, b, c
+            return abc
         if math.isfinite(disc):
             raise RefinementError(f"second partials not indefinite at ({x!r}, {y!r})")
         raise OverflowError(f"second partials out of the float range at ({x!r}, {y!r})")
@@ -171,14 +173,11 @@ def winding_alpha_numeric(f: BinaryForm) -> int:
     """
     require_hyperbolic(f)
     d = f.degree
-    ev0 = f.eval_float
     r1 = rotational_derivative(f)
-    ev1 = r1.eval_float
-    ev2 = rotational_derivative(r1).eval_float
+    jet = eval_float3(f, r1, rotational_derivative(r1))
 
     def vec(phi: float) -> tuple[float, float]:
-        x, y = math.cos(phi), math.sin(phi)
-        u, v, w = ev0(x, y), ev1(x, y), ev2(x, y)
+        u, v, w = jet(math.cos(phi), math.sin(phi))
         if d * d * u * u + d * u * w - (d - 1) * v * v >= 0.0:
             raise RefinementError("sample left the hyperbolicity cone")
         # in-plane coordinates: component along (1, 0, -2D) and along (0, 1, 0)

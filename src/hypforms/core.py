@@ -10,10 +10,13 @@ derivative and exact evaluation runs in the integer kernel below, on the
 integer list that clears the coefficients over one common denominator;
 Fraction appears only where a result leaves the kernel.  UniPoly and
 BinaryForm share its arithmetic and its one derivative.  Floats only appear
-in BinaryForm.eval_float, the one float evaluator behind the numeric
-cross-checks, the lift, the curve stepper and second_fundamental_form.  It
-converts the coefficients to floats on its first call and caches them on
-the instance, so forms that are never evaluated in floats pay nothing.
+in the float term sum, which has one rule and lives here: a form's nonzero
+terms BinaryForm.float_terms, built on first use and cached on the instance
+(forms never evaluated in floats pay nothing), summed left to right from
+0.0.  BinaryForm.eval_float sums one form; eval_float3 sums three in one
+frame, bit for bit as eval_float does, for the callers that read three
+forms at each of many points: the gamma and alpha windings, the lift and
+the curve stepper.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 # Coefficient field: arbitrary-precision rationals in lowest terms with
@@ -261,19 +265,20 @@ class BinaryForm(_Arithmetic):
         return Fraction(_hom_eval(c, x.numerator * s, y.numerator * q),
                         den * (q * s) ** self.degree)
 
+    @cached_property
+    def float_terms(self) -> tuple[tuple[float, int, int], ...]:
+        """The nonzero terms (float(a_i), D - i, i) of the float sum, built
+        on first use and kept on the instance: most forms of the exact
+        kernel are never evaluated in floats.  Raises OverflowError when a
+        coefficient has no float value."""
+        d = self.degree
+        return tuple((float(c), d - i, i) for i, c in enumerate(self.coeffs) if c)
+
     def eval_float(self, x: float, y: float) -> float:
-        # The nonzero terms (float(a_i), D - i, i) are built on the first
-        # call and kept on the instance: most forms of the exact kernel are
-        # never evaluated in floats.  Terms are summed left to right without
-        # Horner, so every result is the plain term-by-term float sum.
-        try:
-            terms = self._float_terms
-        except AttributeError:
-            d = self.degree
-            terms = tuple((float(c), d - i, i) for i, c in enumerate(self.coeffs) if c)
-            object.__setattr__(self, "_float_terms", terms)
+        # Terms are summed left to right without Horner, so every result is
+        # the plain term-by-term float sum; eval_float3 sums by this rule.
         acc = 0.0
-        for c, px, py in terms:
+        for c, px, py in self.float_terms:
             acc += c * x ** px * y ** py
         return acc
 
@@ -345,10 +350,31 @@ def rotational_derivative(f: BinaryForm) -> BinaryForm:
 def second_partials(f: BinaryForm) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
     """(f_xx, f_xy, f_yy), built anew on each call.  A caller that evaluates
     them at many points builds them once and keeps them, as
-    classify._second_partials_float does."""
+    classify._second_partials_float does through eval_float3."""
     fx = f.partial_x()
     fy = f.partial_y()
     return fx.partial_x(), fx.partial_y(), fy.partial_y()
+
+
+def eval_float3(p: BinaryForm, q: BinaryForm, r: BinaryForm):
+    """at(x, y) -> (p, q, r evaluated at (x, y)) in floats, in one frame:
+    each value is the sum of the form's float_terms by eval_float's rule,
+    so it is bit for bit what eval_float gives."""
+    tp, tq, tr = p.float_terms, q.float_terms, r.float_terms
+
+    def at(x: float, y: float) -> tuple[float, float, float]:
+        u = 0.0
+        for c, px, py in tp:
+            u += c * x ** px * y ** py
+        v = 0.0
+        for c, px, py in tq:
+            v += c * x ** px * y ** py
+        w = 0.0
+        for c, px, py in tr:
+            w += c * x ** px * y ** py
+        return u, v, w
+
+    return at
 
 
 def euler_check(f: BinaryForm) -> bool:

@@ -96,6 +96,14 @@ def test_asymptotic_directions_survive_a_discriminant_that_overflows():
     assert th2 == pytest.approx(2 * math.pi / 3, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [1e200, 1e-200])
+def test_asymptotic_residual_keeps_its_value_at_extreme_scales(k):
+    # the unscaled norm of (k, 0, -k) overflows to inf at 1e200 and
+    # underflows to 0 at 1e-200; the residual does not depend on the scale
+    q = QuadFormAt(k, 0.0, -k, (1.0, 0.0))
+    assert asymptotic_residual(q, (1.0, 0.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
 @pytest.mark.parametrize("d", [5, 9, 13])
 def test_second_fundamental_form_is_the_form_the_stepper_reads(d):
     # the lift and the curve stepper read _second_partials_float; the

@@ -25,6 +25,7 @@ from hypforms import (
 )
 from hypforms import classify
 from hypforms.classify import RefinementError, _second_partials_float, _winding
+from hypforms.core import eval_float3, second_partials
 
 X, Y = sympy.symbols("x y")
 
@@ -164,6 +165,57 @@ def test_second_partials_float_values():
     at = _second_partials_float(parse_form("x^3 - x*y^2"))
     assert at(1.0, 0.0) == (6.0, 0.0, -2.0)
     assert at(0.5, 2.0) == (3.0, -4.0, -1.0)
+
+
+FIGURE_FORMS = ("x*(x^2 - y^2)", "x*y*(x^2 - y^2)", "x^3 - 3*x*y^2", "(x^2 + y^2)*(x^3 - 3*x*y^2)")
+# (-0.0, 1.0) sends a zero of negative sign through every term that holds a
+# power of x
+EVAL_POINTS = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 1.0)]
+
+
+def bits(values) -> list[str]:
+    # hex tells -0.0 from 0.0 and compares nan with nan
+    return [v.hex() for v in values]
+
+
+def test_second_partials_float_gives_eval_float_values_bit_for_bit():
+    rng = random.Random(20)
+    points = EVAL_POINTS + [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(40)]
+    forms = [m.form for d in [3] + list(range(5, 14)) for m in representatives(d)]
+    forms += [parse_form(p) for p in FIGURE_FORMS]
+    checked = 0
+    for f in forms:
+        at = _second_partials_float(f)
+        partials = second_partials(f)
+        for x, y in points:
+            want = tuple(p.eval_float(x, y) for p in partials)
+            if not want[1] * want[1] - want[0] * want[2] > 0.0:
+                continue
+            got = at(x, y)
+            assert got == want and bits(got) == bits(want), (str(f), x, y)
+            checked += 1
+    assert checked > 0.9 * len(forms) * len(points)
+
+
+@pytest.mark.parametrize("poly", ["x^3 - 3*x*y^2", "x^3*y - x*y^3", "x^5 + y^5"])
+def test_eval_float3_skips_the_zero_terms_as_eval_float_does(poly):
+    # a partial of each of these forms has a zero coefficient, whose term
+    # would turn 0.0 * inf into nan
+    partials = second_partials(parse_form(poly))
+    assert any(c == 0 for p in partials for c in p.coeffs)
+    at = eval_float3(*partials)
+    for x, y in EVAL_POINTS + [(math.inf, 1.0), (1.0, -math.inf), (-0.0, -0.0)]:
+        want = tuple(p.eval_float(x, y) for p in partials)
+        assert bits(at(x, y)) == bits(want), (x, y)
+
+
+def test_eval_float3_values_where_a_zero_term_would_change_them():
+    # (f_xx, f_xy, f_yy) of x^3 - 3*x*y^2 is (6x, -6y, -6x); a term 0 * x in
+    # f_xy would read nan at x = inf.  Each sum starts from 0.0, so a zero
+    # of either sign comes out as 0.0.
+    at = eval_float3(*second_partials(parse_form("x^3 - 3*x*y^2")))
+    assert bits(at(math.inf, 1.0)) == bits((math.inf, -6.0, -math.inf))
+    assert bits(at(-0.0, 1.0)) == bits((0.0, -6.0, 0.0))
 
 
 def test_second_partials_float_rejects_a_definite_form():

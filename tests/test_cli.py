@@ -494,20 +494,24 @@ def test_curves_default_figure_bytes_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, poly
 
 
-# sha256 of the full-resolution CSV of a coarse figure: the SVG keeps at most
-# about 800 points per path, so only the CSV checks every vertex of the
-# stepper.  The last figure form breaks at this step, so it is left out.
+# sha256 of the full-resolution CSV of a coarse figure at viewport 1.0: the
+# SVG keeps at most about 800 points per path, so only the CSV checks every
+# vertex of the stepper.  The last figure form breaks at step 0.01, so it is
+# drawn at 0.008; it is the one whose second partials have three terms each.
 CSV_SHA256 = {
-    "x*(x^2 - y^2)": "77711a735b16674b62075051ceef6ca2f0452ebd80a4c0bb43693da0eab7b77f",
-    "x*y*(x^2 - y^2)": "de151e189e64d2d5dcf4cca3750650c1903efa22a0a3d39cfab3fffe47365eed",
-    "x^3 - 3*x*y^2": "61bead7f07de0ea736faa02491e79b2b7a00a7e7f6eb869bb0c68be681b3195a",
+    "x*(x^2 - y^2)": (0.01, "77711a735b16674b62075051ceef6ca2f0452ebd80a4c0bb43693da0eab7b77f"),
+    "x*y*(x^2 - y^2)": (0.01, "de151e189e64d2d5dcf4cca3750650c1903efa22a0a3d39cfab3fffe47365eed"),
+    "x^3 - 3*x*y^2": (0.01, "61bead7f07de0ea736faa02491e79b2b7a00a7e7f6eb869bb0c68be681b3195a"),
+    "(x^2 + y^2)*(x^3 - 3*x*y^2)":
+        (0.008, "4e7478ffbd08202696cd972318e1910e28806ae7421e34054905b810db41fa5f"),
 }
 
 
 @pytest.mark.parametrize("poly", CSV_SHA256)
 def test_curves_csv_vertices_are_pinned(poly):
-    csv = polylines_to_csv(cli.figure_curves(parse_form(poly), step=0.01, viewport=1.0))
-    assert hashlib.sha256(csv.encode()).hexdigest() == CSV_SHA256[poly]
+    step, digest = CSV_SHA256[poly]
+    csv = polylines_to_csv(cli.figure_curves(parse_form(poly), step=step, viewport=1.0))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("m", [12, 14, 16])
