@@ -68,13 +68,15 @@ class IsotopyCheck:
 def second_fundamental_form(f: BinaryForm, x: float, y: float) -> QuadFormAt:
     """Second partial derivatives of f at (x, y), read in floats by
     BinaryForm.eval_float as in the direction lift and the curve stepper.
-    The base point must not be the origin.  Raises OverflowError when a
-    coefficient or a power has no float value."""
+    The base point must be finite and not the origin.  Raises OverflowError
+    when a coefficient or a power has no float value."""
     if f.degree < 2:
         raise ValueError("second partials need degree >= 2")
     if x == 0 and y == 0:
         raise ValueError("base point must differ from the origin")
     at = (float(x), float(y))
+    if not all(map(math.isfinite, at)):
+        raise ValueError("base point must be finite")
     fxx, fxy, fyy = (p.eval_float(*at) for p in second_partials(f))
     return QuadFormAt(fxx, fxy, fyy, at)
 
@@ -232,6 +234,8 @@ def integrate_curve(
     """
     require_hyperbolic(f)
     sx, sy = float(seed[0]), float(seed[1])
+    if not all(map(math.isfinite, (sx, sy))):
+        raise ValueError("seed must be finite")
     if sx == 0.0 and sy == 0.0:
         raise ValueError("seed must differ from the origin")
     if field_choice not in ("F1", "F2"):
@@ -377,29 +381,26 @@ def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
 
     # the cross-term form is phi at t = 0 and psi at t = 1: decide it once
     omega = positive_off_origin(oa, ob, oc)
-    checks = []
 
-    failed = [] if omega else [ISOTOPY_GRID[0]]
-    for t in ISOTOPY_GRID[1:]:
+    def phi(t: Fraction) -> bool:
+        if t == 0:
+            return omega
         tp = t * p
-        if not positive_off_origin(oa + tp * qxx, ob + tp * qxy, oc + tp * qyy):
-            failed.append(t)
-    checks.append(IsotopyCheck("phi", ISOTOPY_GRID, not failed, tuple(failed)))
+        return positive_off_origin(oa + tp * qxx, ob + tp * qxy, oc + tp * qyy)
 
-    failed = []
-    for t in ISOTOPY_GRID[:-1]:
-        if not positive_off_origin(qa + (2 * t) * sa, qb + t * sb, qc + (2 * t) * sc):
-            failed.append(t)
-    if not omega:
-        failed.append(ISOTOPY_GRID[-1])
-    checks.append(IsotopyCheck("psi", ISOTOPY_GRID, not failed, tuple(failed)))
+    def psi(t: Fraction) -> bool:
+        if t == 1:
+            return omega
+        return positive_off_origin(qa + (2 * t) * sa, qb + t * sb, qc + (2 * t) * sc)
 
     # gamma_t scales the second fundamental form of p by t + (1-t)q, which
     # is positive off the origin for every t in [0, 1] (q is a sum of even
     # powers), so its discriminant sign reduces to hyperbolicity of p.
     p_ok = is_hyperbolic(p).is_hyperbolic
-    failed = [] if p_ok else list(ISOTOPY_GRID)
-    checks.append(IsotopyCheck("gamma_t", ISOTOPY_GRID, not failed, tuple(failed)))
+    checks = []
+    for kind, holds in (("phi", phi), ("psi", psi), ("gamma_t", lambda t: p_ok)):
+        failed = tuple(t for t in ISOTOPY_GRID if not holds(t))
+        checks.append(IsotopyCheck(kind, ISOTOPY_GRID, not failed, failed))
     return checks
 
 
@@ -421,7 +422,10 @@ def _svg_path(points, viewport: float) -> str:
 
 def polylines_to_svg(curves: list[CurvePolyline], viewport: float = 2.0) -> str:
     """Deterministic SVG document with one path per polyline; paths carry
-    their seed and field label as data attributes and are colored by field."""
+    their seed and field label as data attributes and are colored by field.
+    The viewport must be finite and positive."""
+    if not 0.0 < viewport < math.inf:
+        raise ValueError("viewport must be finite and positive")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',

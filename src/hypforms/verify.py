@@ -567,6 +567,12 @@ def suite_poincare(d_max: int = 12) -> SuiteReport:
 # -------------------------------------------------------------- isotopies
 
 
+# The pairs of the isotopies suite as (k, even, n): the lines
+# p_factorized(k, even=even) and the padding even_pad(n).
+ISOTOPY_PAIRS = ((1, False, 2), (1, False, 3), (1, True, 1), (1, True, 2),
+                 (2, False, 1), (2, False, 2), (2, True, 1), (3, False, 1))
+
+
 def suite_isotopies() -> SuiteReport:
     """The mixed-derivative identity holds exactly, the cross-term form's
     discriminant is strictly positive off the origin, and the three
@@ -576,50 +582,34 @@ def suite_isotopies() -> SuiteReport:
     degree-5 product."""
     cases = _Cases("isotopies")
 
+    def discriminant(checks) -> str:
+        _, psi, _ = checks
+        pos = Fraction(1) not in psi.failed_ts  # psi(1) is the cross-term form
+        return f"discriminant {'positive' if pos else 'NOT positive'}"
+
     def pair_case(p: BinaryForm, q: BinaryForm, n: int):
         ratio = Fraction(2 * n, p.degree - 1)
         checks = check_isotopies(p, q)  # raises if the identity fails
-        _, psi, _ = checks
-        pos = Fraction(1) not in psi.failed_ts  # psi(1) is the cross-term form
-        all_true = all(c.verdict for c in checks)
+        failures = "; ".join(f"{c.kind} fails at t in {list(c.failed_ts)}"
+                             for c in checks if not c.verdict)
         return _exact(
-            f"identity ratio {ratio}; discriminant positive; "
-            "phi/psi/gamma_t all true",
-            f"identity ratio {ratio}; discriminant "
-            f"{'positive' if pos else 'NOT positive'}; "
-            + (
-                "phi/psi/gamma_t all true"
-                if all_true
-                else "; ".join(
-                    f"{c.kind} fails at t in {list(c.failed_ts)}"
-                    for c in checks
-                    if not c.verdict
-                )
-            ),
+            f"identity ratio {ratio}; discriminant positive; phi/psi/gamma_t all true",
+            f"identity ratio {ratio}; {discriminant(checks)}; "
+            + (failures or "phi/psi/gamma_t all true"),
         )
-    for k, even, n in (
-        (1, False, 2),
-        (1, False, 3),
-        (1, True, 1),
-        (1, True, 2),
-        (2, False, 1),
-        (2, False, 2),
-        (2, True, 1),
-        (3, False, 1),
-    ):
+    for k, even, n in ISOTOPY_PAIRS:
         p = p_factorized(k, even=even).form
         cases.add(f"isotopies/pair/degP={p.degree},n={n}", pair_case, p, even_pad(n), n)
 
     def boundary():
-        p = p_factorized(1).form
-        checks = {c.kind: c for c in check_isotopies(p, even_pad(1))}
-        pos = Fraction(1) not in checks["psi"].failed_ts  # psi(1) is the cross-term form
+        checks = check_isotopies(p_factorized(1).form, even_pad(1))
+        phi, psi, gamma_t = checks
+        failed = list(phi.failed_ts)
         return _exact(
             "discriminant positive; phi fails only at t=1; psi true; gamma_t true",
-            f"discriminant {'positive' if pos else 'NOT positive'}; "
-            f"phi fails only at t={list(checks['phi'].failed_ts)[0] if checks['phi'].failed_ts == (Fraction(1),) else list(checks['phi'].failed_ts)}; "
-            f"psi {str(checks['psi'].verdict).lower()}; "
-            f"gamma_t {str(checks['gamma_t'].verdict).lower()}",
+            f"{discriminant(checks)}; "
+            f"phi fails only at t={failed[0] if failed == [1] else failed}; "
+            f"psi {str(psi.verdict).lower()}; gamma_t {str(gamma_t.verdict).lower()}",
         )
     cases.add("isotopies/boundary-pair degP=3,n=1", boundary)
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypforms import asymptotics
+from hypforms import asymptotics, verify
 from hypforms import (
     QuadFormAt,
     RefinementError,
@@ -429,9 +429,25 @@ def test_check_isotopies_decides_the_cross_term_form_once(monkeypatch):
     assert checks["gamma_t"].verdict
 
 
+def test_check_isotopies_lists_each_rejected_grid_value(monkeypatch):
+    # the cross-term form (phi at t = 0, psi at t = 1) and psi at t = 1/2
+    # are rejected: each family lists exactly the grid values it failed at
+    p, q = F3, parse_form("x^4 + y^4")
+    pq2, p2, q2 = second_partials(p * q), second_partials(p), second_partials(q)
+    a, b, c = (q * u + Fraction(1, 2) * (w - p * v - q * u) for w, u, v in zip(pq2, p2, q2))
+    rejected = (-discriminant_omega(p, q), a * c - b * b)
+    monkeypatch.setattr(asymptotics, "is_negative_form",
+                        lambda h: (False, None) if h in rejected else is_negative_form(h))
+    checks = check_isotopies(p, q)
+    assert [(k.kind, k.t_grid, k.verdict, k.failed_ts) for k in checks] == [
+        ("phi", ISOTOPY_GRID, False, (Fraction(0),)),
+        ("psi", ISOTOPY_GRID, False, (Fraction(1, 2), Fraction(1))),
+        ("gamma_t", ISOTOPY_GRID, True, ()),
+    ]
+
+
 # the eight pairs of the isotopies suite, then its boundary pair
-ISOTOPY_PAIRS = [(1, False, 2), (1, False, 3), (1, True, 1), (1, True, 2),
-                 (2, False, 1), (2, False, 2), (2, True, 1), (3, False, 1), (1, False, 1)]
+ISOTOPY_PAIRS = [*verify.ISOTOPY_PAIRS, (1, False, 1)]
 
 
 @pytest.mark.parametrize("k, even, n", ISOTOPY_PAIRS)

@@ -561,6 +561,18 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
     assert err == b""
 
 
+def test_a_closed_pipe_before_several_members_gets_exit_1_and_no_traceback():
+    # four members, one line each, all buffered until main's flush; the
+    # branch dup2s fd 1, so it runs only in a child process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "hypforms.cli", "family", "reps", "9"],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_benchmark_selftest_passes():
     # the benchmark's own checks: failed operations are counted, the tracer
     # restores what it rebinds, inputs repeat for a seed

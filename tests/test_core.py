@@ -22,9 +22,12 @@ from hypforms import (
     rotational_derivative,
 )
 from hypforms.asymptotics import (
+    CurvePolyline,
     QuadFormAt,
     asymptotic_residual,
     discriminant_omega,
+    integrate_curve,
+    polylines_to_svg,
     second_fundamental_form,
 )
 from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE, MAX_NESTING
@@ -374,6 +377,8 @@ def test_parentheses_nested_above_the_limit_are_rejected(levels):
 
 
 _ONE = BinaryForm(0, (Fraction(1),))
+_F3 = parse_form("x^3 - x*y^2")
+_CURVE = CurvePolyline(((1.0, 0.0), (1.0, 0.5)), "F1", (1.0, 0.0))
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -418,6 +423,24 @@ _ONE = BinaryForm(0, (Fraction(1),))
                  id="asymptotic_residual-inf-direction"),
     pytest.param(lambda: discriminant_omega(parse_form("x"), even_pad(1)), ValueError,
                  "line-product factor must have degree >= 2", id="discriminant_omega"),
+    pytest.param(lambda: second_fundamental_form(_F3, math.nan, 1.0), ValueError,
+                 "base point must be finite", id="second_fundamental_form-nan-point"),
+    pytest.param(lambda: second_fundamental_form(_F3, 1.0, -math.inf), ValueError,
+                 "base point must be finite", id="second_fundamental_form-inf-point"),
+    pytest.param(lambda: integrate_curve(_F3, (math.nan, 1.0)), ValueError,
+                 "seed must be finite", id="integrate_curve-nan-seed"),
+    pytest.param(lambda: integrate_curve(_F3, (1.0, math.inf)), ValueError,
+                 "seed must be finite", id="integrate_curve-inf-seed"),
+    # a finite seed whose second partials have no float value
+    pytest.param(lambda: integrate_curve(_F3, (1e308, 1e308)), OverflowError,
+                 "second partials out of the float range at (1e+308, 1e+308)",
+                 id="integrate_curve-overflowing-seed"),
+    pytest.param(lambda: polylines_to_svg([_CURVE], viewport=0.0), ValueError,
+                 "viewport must be finite and positive", id="polylines_to_svg-zero-viewport"),
+    pytest.param(lambda: polylines_to_svg([_CURVE], viewport=math.nan), ValueError,
+                 "viewport must be finite and positive", id="polylines_to_svg-nan-viewport"),
+    pytest.param(lambda: polylines_to_svg([_CURVE], viewport=math.inf), ValueError,
+                 "viewport must be finite and positive", id="polylines_to_svg-inf-viewport"),
 ])
 def test_input_guards_reject_inputs_outside_their_domain(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -124,7 +124,15 @@ def _non_hyperbolic_polar(f):
      {"winding/zeros-vs-critical/": "2 != 4"}),
     ({"table1": lambda d_max: []}, "obs_arnold", {"d_max": 9},
      {"obs_arnold/covered/": "missing"}),
-], ids=["lemmas", "hessian_expansion", "equivalence", "winding", "obs_arnold"])
+    ({"check_isotopies": lambda p, q: [
+        IsotopyCheck("phi", ISOTOPY_GRID, False, (Fraction(1, 2), Fraction(1))),
+        IsotopyCheck("psi", ISOTOPY_GRID, False, (Fraction(1),)),
+        IsotopyCheck("gamma_t", ISOTOPY_GRID, True)]}, "isotopies", {},
+     {"isotopies/pair/degP=3,n=2": "identity ratio 2; discriminant NOT positive; "
+      "phi fails at t in [Fraction(1, 2), Fraction(1, 1)]; psi fails at t in [Fraction(1, 1)]",
+      "isotopies/boundary-pair": "discriminant NOT positive; "
+      "phi fails only at t=[Fraction(1, 2), Fraction(1, 1)]; psi false; gamma_t true"}),
+], ids=["lemmas", "hessian_expansion", "equivalence", "winding", "obs_arnold", "isotopies"])
 def test_failing_cases_report_what_was_computed(monkeypatch, fakes, suite, kw, want):
     # each case that repeats its claim on success names the computed
     # outcome on failure; the deciders it reads are replaced by failing ones

@@ -4,7 +4,9 @@
 
 Each NAME=CHECKOUT argument names a checkout of this repository.  The
 script runs that checkout's own perfbench/run.py, unchanged, with seed
-SEED for SECONDS seconds, and keeps the JSON object each run prints last.
+SEED for the run_seconds of this repository's BENCHMARK.json, and keeps
+the JSON object each run prints last.  It runs the workloads that file
+declares.
 For the end-to-end metrics it makes ROUNDS rounds of --trace 0 runs: each
 round runs every checkout in turn on each workload, and every other round
 reverses the order of the checkouts, so that drift in the speed of the
@@ -33,11 +35,9 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("certify", "paper")
 TRACES = (0, 1)
 ROUNDS = 10
 TRACED_ROUNDS = 3
-SECONDS = 60.0  # BENCHMARK.json's run_seconds
 SEED = 1
 
 
@@ -77,9 +77,16 @@ def machine() -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, trace: int) -> dict:
+def declared() -> tuple[tuple[str, ...], float]:
+    """The workload names and the seconds of each run in BENCHMARK.json."""
+    path = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return tuple(w["name"] for w in doc["workloads"]), float(doc["run_seconds"])
+
+
+def run_once(checkout: Path, workload: str, trace: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -125,16 +132,17 @@ def main(argv=None) -> int:
             ap.error(f"{arg!r} is not NAME=CHECKOUT with a perfbench/run.py")
         named.append((name, checkout))
 
-    runs = {name: {f"{w}/trace{t}": [] for w in WORKLOADS for t in TRACES}
+    workloads, seconds = declared()
+    runs = {name: {f"{w}/trace{t}": [] for w in workloads for t in TRACES}
             for name, _ in named}
     plan = [(r, w, int(r >= ROUNDS), named if r % 2 == 0 else named[::-1])
-            for r in range(ROUNDS + TRACED_ROUNDS) for w in WORKLOADS]
+            for r in range(ROUNDS + TRACED_ROUNDS) for w in workloads]
     for r, workload, trace, order in plan:
         for name, checkout in order:
             print(f"round {r + 1}: {name} {workload} --trace {trace}",
                   file=sys.stderr, flush=True)
             runs[name][f"{workload}/trace{trace}"].append(
-                run_once(checkout, workload, trace))
+                run_once(checkout, workload, trace, seconds))
 
     entries = {}
     for name, checkout in named:
@@ -151,7 +159,7 @@ def main(argv=None) -> int:
         "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0|1",
         "seed": SEED,
-        "seconds": SECONDS,
+        "seconds": seconds,
         "rounds": ROUNDS,
         "traced_rounds": TRACED_ROUNDS,
         "order": "rounds alternate the order of the checkouts, trace 0 then trace 1",
