@@ -17,24 +17,11 @@ from fractions import Fraction
 
 from .certify import hessian, is_hyperbolic, is_negative_form, require_hyperbolic
 from .classify import (
-    _MAX_DEPTH, RefinementError, _second_partials_float, count_real_linear_factors,
+    _MAX_DEPTH, RefinementError, _not_indefinite, _second_partials_float,
+    count_real_linear_factors,
 )
-from .core import BinaryForm, Rat, second_partials
+from .core import BinaryForm, Rat, eval_float3, second_partials
 from .families import even_pad
-
-
-@dataclass(frozen=True)
-class QuadFormAt:
-    """Quadratic form a*dx^2 + 2b*dx*dy + c*dy^2 attached to a base point."""
-
-    a: float
-    b: float
-    c: float
-    at: tuple[float, float]
-
-    @property
-    def discriminant(self) -> float:
-        return self.b * self.b - self.a * self.c
 
 
 @dataclass(frozen=True)
@@ -65,22 +52,6 @@ class IsotopyCheck:
     failed_ts: tuple[Fraction, ...] = ()
 
 
-def second_fundamental_form(f: BinaryForm, x: float, y: float) -> QuadFormAt:
-    """Second partial derivatives of f at (x, y), read in floats by
-    BinaryForm.eval_float as in the direction lift and the curve stepper.
-    The base point must be finite and not the origin.  Raises OverflowError
-    when a coefficient or a power has no float value."""
-    if f.degree < 2:
-        raise ValueError("second partials need degree >= 2")
-    if x == 0 and y == 0:
-        raise ValueError("base point must differ from the origin")
-    at = (float(x), float(y))
-    if not all(map(math.isfinite, at)):
-        raise ValueError("base point must be finite")
-    fxx, fxy, fyy = (p.eval_float(*at) for p in second_partials(f))
-    return QuadFormAt(fxx, fxy, fyy, at)
-
-
 def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tuple[float, float]]:
     # Solutions (u, v) of a u^2 + 2b uv + c v^2 = 0; the caller has checked
     # that the discriminant b^2 - ac is positive.  The large-magnitude root
@@ -91,43 +62,6 @@ def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tu
         return (1.0, 0.0), (-c, 2.0 * b)
     s = -(b + r) if b >= 0.0 else -b + r
     return (s, a), (c, s)
-
-
-def asymptotic_directions(q: QuadFormAt) -> tuple[float, float]:
-    """The two null directions of q as angles in [0, pi), ascending.
-    Scaling q by a nonzero constant leaves the result unchanged, so a, b
-    and c are divided by the largest of |a|, |b| and |c| before the
-    discriminant is formed: finite entries never overflow it."""
-    if not all(map(math.isfinite, (q.a, q.b, q.c))):
-        raise ValueError(f"no null directions: discriminant {q.discriminant!r} is not finite")
-    s = max(abs(q.a), abs(q.b), abs(q.c)) or 1.0
-    a, b, c = q.a / s, q.b / s, q.c / s
-    if b * b - a * c <= 0.0:
-        raise ValueError("no real null directions: discriminant <= 0")
-    v1, v2 = _null_vectors(a, b, c)
-    angles = sorted(math.atan2(v[1], v[0]) % math.pi for v in (v1, v2))
-    return angles[0], angles[1]
-
-
-def asymptotic_residual(q: QuadFormAt, direction: tuple[float, float]) -> float:
-    """Normalized magnitude of q on a direction: |q(u, v)| for the unit
-    vector along `direction`, divided by the coefficient norm of q.
-    Zero exactly when the direction is null for q.  Raises ValueError when
-    q or the direction holds nan or inf.  As in asymptotic_directions, a, b
-    and c are divided by the largest of |a|, |b| and |c| first, so that the
-    norm neither overflows nor underflows."""
-    if not all(map(math.isfinite, (q.a, q.b, q.c, *direction))):
-        raise ValueError("quadratic form and direction must be finite")
-    u, v = direction
-    n = math.hypot(u, v)
-    if n == 0.0:
-        raise ValueError("direction must be nonzero")
-    u, v = u / n, v / n
-    s = max(abs(q.a), abs(q.b), abs(q.c)) or 1.0
-    a, b, c = q.a / s, q.b / s, q.c / s
-    num = abs(a * u * u + 2.0 * b * u * v + c * v * v)
-    den = math.sqrt(a * a + 4.0 * b * b + c * c)
-    return num / den if den > 0.0 else num
 
 
 def poincare_index_origin(f: BinaryForm) -> Fraction:
@@ -244,17 +178,21 @@ def integrate_curve(
         raise ValueError("step, max_len and viewport must be finite and positive")
     if max_len / 2.0 / step > MAX_ARM_STEPS:
         raise ValueError(f"max_len / 2 / step is above the limit of {MAX_ARM_STEPS} steps")
-    at = _second_partials_float(f)
+    ev = eval_float3(*second_partials(f))
     min_dot = math.cos(math.pi / 4.0)  # consecutive directions turn by under 45 degrees
 
     def aligned(x: float, y: float, ref: tuple[float, float]) -> tuple[float, float]:
         # Null direction at (x, y) closest to ref, sign-matched to ref: the
-        # unit vectors of _null_vectors, written out in one frame.
-        a, b, c = at(x, y)
+        # checked second partials of _second_partials_float and the unit
+        # vectors of _null_vectors, written out in one frame.
+        a, b, c = ev(x, y)
+        disc = b * b - a * c
+        if not 0.0 < disc < math.inf:
+            raise _not_indefinite(disc, x, y)
         if a == 0.0:
             u1, v1, u2, v2 = 1.0, 0.0, -c, 2.0 * b
         else:
-            r = math.sqrt(b * b - a * c)
+            r = math.sqrt(disc)
             s = -(b + r) if b >= 0.0 else -b + r
             u1, v1, u2, v2 = s, a, c, s
         n = math.hypot(u1, v1)
@@ -275,7 +213,11 @@ def integrate_curve(
             )
         return u1, v1
 
-    by_angle = sorted((_unit(*v) for v in _null_vectors(*at(sx, sy))),
+    a, b, c = ev(sx, sy)
+    disc = b * b - a * c
+    if not 0.0 < disc < math.inf:
+        raise _not_indefinite(disc, sx, sy)
+    by_angle = sorted((_unit(*v) for v in _null_vectors(a, b, c)),
                       key=lambda w: math.atan2(w[1], w[0]) % math.pi)
     d0 = by_angle[0] if field_choice == "F1" else by_angle[1]
     arm_steps = int((max_len / 2.0) / step)
@@ -423,9 +365,16 @@ def _svg_path(points, viewport: float) -> str:
 def polylines_to_svg(curves: list[CurvePolyline], viewport: float = 2.0) -> str:
     """Deterministic SVG document with one path per polyline; paths carry
     their seed and field label as data attributes and are colored by field.
-    The viewport must be finite and positive."""
+    The viewport must be finite and positive, and every polyline needs a
+    point and the field label F1 or F2."""
     if not 0.0 < viewport < math.inf:
         raise ValueError("viewport must be finite and positive")
+    for i, curve in enumerate(curves):
+        if not curve.points:
+            raise ValueError(f"curve {i} has no points")
+        if curve.field_choice not in _FIELD_COLORS:
+            raise ValueError(
+                f"curve {i} has field label {curve.field_choice!r}, not 'F1' or 'F2'")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',

@@ -26,14 +26,22 @@ _MAX_DEPTH = 24
 _RESIDUAL = 0.1  # accepted distance to the nearest whole revolution
 
 
+def _not_indefinite(disc: float, x: float, y: float) -> Exception:
+    """The error for a discriminant b*b - a*c of the second partials at
+    (x, y) outside (0, inf): RefinementError when it is finite (the form is
+    not indefinite there), OverflowError when it has no float value."""
+    if math.isfinite(disc):
+        return RefinementError(f"second partials not indefinite at ({x!r}, {y!r})")
+    return OverflowError(f"second partials out of the float range at ({x!r}, {y!r})")
+
+
 def _second_partials_float(f: BinaryForm):
-    """at(x, y) -> (f_xx, f_xy, f_yy) in floats, the one float evaluation of
-    the second partials behind the gamma winding, the direction lift and the
-    curve stepper.  The three sums run in one frame of core.eval_float3, so
-    each value is bit for bit its partial's eval_float.  It raises
-    OverflowError when the discriminant b*b - a*c has no float value, and
-    RefinementError when it is not positive, so that no caller reads a
-    degenerate or overflowed form."""
+    """at(x, y) -> (f_xx, f_xy, f_yy) in floats, the checked float evaluation
+    of the second partials behind the gamma winding and the direction lift.
+    The three sums are core.eval_float3's, so each value is bit for bit its
+    partial's eval_float.  A discriminant b*b - a*c outside (0, inf) raises
+    _not_indefinite's error, so that no caller reads a degenerate or
+    overflowed form.  The curve stepper makes the same check inline."""
     ev = eval_float3(*second_partials(f))
 
     def at(x: float, y: float) -> tuple[float, float, float]:
@@ -41,9 +49,7 @@ def _second_partials_float(f: BinaryForm):
         disc = b * b - a * c
         if 0.0 < disc < math.inf:
             return abc
-        if math.isfinite(disc):
-            raise RefinementError(f"second partials not indefinite at ({x!r}, {y!r})")
-        raise OverflowError(f"second partials out of the float range at ({x!r}, {y!r})")
+        raise _not_indefinite(disc, x, y)
 
     return at
 
@@ -73,12 +79,16 @@ def admissible_indices(degree: int) -> list[int]:
 
 
 def num_components(degree: int) -> int:
-    """(D-1)/2 components for odd D, D/2 for even D.
+    """(D-1)/2 components for odd D, D/2 for even D: the number of
+    admissible indexes.
 
-    For degree 4 this returns the even-degree formula value 2 even though
-    the space is connected; classification by index is reliable from
-    degree 5 (odd) and degree 6 (even) where the representative
-    constructions below exist.
+    For degree 4 this returns 2, but no hyperbolic quartic has index 0.
+    Such a quartic would be l1*l2*Q with Q definite, and a real linear
+    change of variables, a scaling and a sign, none of which changes
+    hyperbolicity, take it to f_b = xy(x^2 + bxy + y^2) with -2 < b < 2.
+    Hess f_b(1, 1) = -12b(b + 2) is >= 0 for b in [-2, 0], and
+    Hess f_b(1, -1) = -12b(b - 2) is >= 0 for b in [0, 2], so no f_b is
+    hyperbolic.  Every hyperbolic quartic has index -2.
     """
     if degree < 3:
         raise ValueError("component count needs degree >= 3")

@@ -13,10 +13,10 @@ BinaryForm share its arithmetic and its one derivative.  Floats only appear
 in the float term sum, which has one rule and lives here: a form's nonzero
 terms BinaryForm.float_terms, built on first use and cached on the instance
 (forms never evaluated in floats pay nothing), summed left to right from
-0.0.  BinaryForm.eval_float sums one form; eval_float3 sums three in one
-frame, bit for bit as eval_float does, for the callers that read three
-forms at each of many points: the gamma and alpha windings, the lift and
-the curve stepper.
+0.0.  BinaryForm.eval_float sums one form; eval_float3 compiles three such
+sums into one straight-line function, bit for bit as eval_float does, for
+the callers that read three forms at each of many points: the gamma and
+alpha windings, the lift and the curve stepper.
 """
 
 from __future__ import annotations
@@ -350,40 +350,36 @@ def rotational_derivative(f: BinaryForm) -> BinaryForm:
 def second_partials(f: BinaryForm) -> tuple[BinaryForm, BinaryForm, BinaryForm]:
     """(f_xx, f_xy, f_yy), built anew on each call.  A caller that evaluates
     them at many points builds them once and keeps them, as
-    classify._second_partials_float does through eval_float3."""
+    classify._second_partials_float and the curve stepper do through
+    eval_float3."""
     fx = f.partial_x()
     fy = f.partial_y()
     return fx.partial_x(), fx.partial_y(), fy.partial_y()
 
 
 def eval_float3(p: BinaryForm, q: BinaryForm, r: BinaryForm):
-    """at(x, y) -> (p, q, r evaluated at (x, y)) in floats, in one frame:
-    each value is the sum of the form's float_terms by eval_float's rule,
-    so it is bit for bit what eval_float gives."""
-    tp, tq, tr = p.float_terms, q.float_terms, r.float_terms
-
-    def at(x: float, y: float) -> tuple[float, float, float]:
-        u = 0.0
-        for c, px, py in tp:
-            u += c * x ** px * y ** py
-        v = 0.0
-        for c, px, py in tq:
-            v += c * x ** px * y ** py
-        w = 0.0
-        for c, px, py in tr:
-            w += c * x ** px * y ** py
-        return u, v, w
-
-    return at
-
-
-def euler_check(f: BinaryForm) -> bool:
-    """Exact check of x*f_x + y*f_y == degree * f."""
-    if f.degree < 1:
-        raise ValueError("euler_check needs degree >= 1")
-    x = BinaryForm(1, (Fraction(1), Fraction(0)))
-    y = BinaryForm(1, (Fraction(0), Fraction(1)))
-    return x * f.partial_x() + y * f.partial_y() == f.degree * f
+    """at(x, y) -> (p, q, r evaluated at (x, y)) in floats, bit for bit what
+    eval_float gives.  The three sums are compiled into one straight-line
+    function: one statement acc += k * x ** px * y ** py per term of
+    float_terms, in order, each sum from 0.0.  A factor ** 0 is dropped (its
+    value is 1.0, and * 1.0 is exact) and ** 1 is written as the bare
+    variable.  The coefficients are bound by name (k0, k1, ...), never
+    formatted into the source; the exponents are the form's own ints.  One
+    statement per term, not one expression, keeps the compiler's recursion
+    shallow at any degree."""
+    ns: dict = {}
+    lines = ["def at(x, y):"]
+    for acc, form in zip("uvw", (p, q, r)):
+        lines.append(f"    {acc} = 0.0")
+        for c, px, py in form.float_terms:
+            k = f"k{len(ns)}"
+            ns[k] = c
+            factors = [k] + [var if e == 1 else f"{var} ** {e}"
+                             for var, e in (("x", px), ("y", py)) if e]
+            lines.append(f"    {acc} += {' * '.join(factors)}")
+    lines.append("    return u, v, w")
+    exec("\n".join(lines), ns)
+    return ns["at"]
 
 
 # ---------------------------------------------------------------------------

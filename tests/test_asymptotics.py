@@ -1,8 +1,7 @@
-"""Null-direction fields: pointwise data, index halving, curve integration,
+"""Null-direction fields: index halving, ray-field parity, curve integration,
 cross-term discriminants, and deformation checks."""
 
 import math
-import random
 import re
 import time
 from fractions import Fraction
@@ -11,13 +10,9 @@ import pytest
 
 from hypforms import asymptotics, verify
 from hypforms import (
-    QuadFormAt,
     RefinementError,
-    asymptotic_directions,
-    asymptotic_residual,
     check_isotopies,
     discriminant_omega,
-    hessian,
     index_gamma,
     integrate_curve,
     is_negative_form,
@@ -27,95 +22,14 @@ from hypforms import (
     polylines_to_csv,
     polylines_to_svg,
     representatives,
-    second_fundamental_form,
 )
-from hypforms.asymptotics import ISOTOPY_GRID
+from hypforms.asymptotics import ISOTOPY_GRID, _null_vectors
 from hypforms.classify import _second_partials_float
 from hypforms.core import second_partials
 from hypforms.families import even_pad
 
 F3 = parse_form("x^3 - x*y^2")        # three lines: x=0, y=+-x
 F4 = parse_form("x^3*y - x*y^3")      # four lines: x=0, y=0, y=+-x
-
-
-# ------------------------------------------------------ pointwise quadratic
-
-
-def test_second_fundamental_form_values():
-    q = second_fundamental_form(F3, 1.0, 0.0)
-    assert (q.a, q.b, q.c) == (6.0, 0.0, -2.0)
-    assert q.at == (1.0, 0.0)
-    assert q.discriminant > 0
-
-
-def test_second_fundamental_form_rejects_origin():
-    with pytest.raises(ValueError):
-        second_fundamental_form(F3, 0.0, 0.0)
-
-
-def test_asymptotic_directions_are_null():
-    for x, y in ((1.0, 0.0), (0.7, -1.3), (2.0, 0.5)):
-        q = second_fundamental_form(F4, x, y)
-        th1, th2 = asymptotic_directions(q)
-        assert 0.0 <= th1 < th2 < math.pi
-        for th in (th1, th2):
-            assert asymptotic_residual(q, (math.cos(th), math.sin(th))) < 1e-12
-
-
-def test_asymptotic_directions_need_positive_discriminant():
-    q = second_fundamental_form(parse_form("x^2 + y^2"), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        asymptotic_directions(q)
-
-
-@pytest.mark.parametrize("a, b, c, message", [
-    pytest.param(math.nan, 0.0, 0.0, "no null directions: discriminant nan is not finite",
-                 id="nan-a"),
-    pytest.param(1.0, math.nan, -1.0, "no null directions: discriminant nan is not finite",
-                 id="nan-b"),
-    pytest.param(math.inf, 1.0, -1.0, "no null directions: discriminant inf is not finite",
-                 id="inf-a"),
-    pytest.param(0.0, -math.inf, 0.0, "no null directions: discriminant inf is not finite",
-                 id="inf-b"),
-    pytest.param(math.inf, 0.0, 0.0, "no null directions: discriminant nan is not finite",
-                 id="inf-times-zero"),
-    pytest.param(1.0, 0.0, 1.0, "no real null directions: discriminant <= 0", id="negative"),
-    pytest.param(0.0, 0.0, 0.0, "no real null directions: discriminant <= 0", id="zero"),
-])
-def test_asymptotic_directions_reject_a_discriminant_that_is_not_positive_and_finite(
-        a, b, c, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        asymptotic_directions(QuadFormAt(a, b, c, (1.0, 0.0)))
-
-
-def test_asymptotic_directions_survive_a_discriminant_that_overflows():
-    # q = (6e200, -2, -2e200) is finite, but b*b - a*c is not
-    q = second_fundamental_form(parse_form("x^3 - x*y^2"), 1e200, 1.0)
-    th1, th2 = asymptotic_directions(q)
-    assert th1 == pytest.approx(math.pi / 3, abs=1e-12)
-    assert th2 == pytest.approx(2 * math.pi / 3, abs=1e-12)
-
-
-@pytest.mark.parametrize("k", [1e200, 1e-200])
-def test_asymptotic_residual_keeps_its_value_at_extreme_scales(k):
-    # the unscaled norm of (k, 0, -k) overflows to inf at 1e200 and
-    # underflows to 0 at 1e-200; the residual does not depend on the scale
-    q = QuadFormAt(k, 0.0, -k, (1.0, 0.0))
-    assert asymptotic_residual(q, (1.0, 0.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-
-
-@pytest.mark.parametrize("d", [5, 9, 13])
-def test_second_fundamental_form_is_the_form_the_stepper_reads(d):
-    # the lift and the curve stepper read _second_partials_float; the
-    # pointwise form must give the same floats, not a nearby rounding
-    rng = random.Random(2200 + d)
-    for member in representatives(d):
-        at = _second_partials_float(member.form)
-        for _ in range(20):
-            x, y = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-            q = second_fundamental_form(member.form, x, y)
-            assert (q.a, q.b, q.c) == at(x, y), (member.label, x, y)
-            assert q.at == (x, y)
 
 
 # ----------------------------------------------------------- index halving
@@ -141,6 +55,18 @@ def test_poincare_index_halves_the_stored_index_through_degree_17(d):
             member.label
 
 
+@pytest.mark.parametrize("d, turning", [(18, "-15.458"), (20, "-17.441")])
+def test_poincare_lift_refuses_p18_and_p20(d, turning):
+    # the docstring's validated range ends at D = 17: the 256 + 64D samples
+    # lose turns on P_18 and P_20, and the half-integer check refuses them
+    form = next(m.form for m in representatives(d) if m.label == f"P_{d}")
+    message = f"direction turning {turning} half-revolutions is not near a half-integer"
+    t0 = time.perf_counter()
+    with pytest.raises(RefinementError, match=f"^{re.escape(message)}$"):
+        poincare_index_origin(form)
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_poincare_rejects_non_hyperbolic():
     from hypforms import NotHyperbolicError
 
@@ -160,14 +86,19 @@ def test_poincare_lift_failure_names_phi_and_depth(monkeypatch):
 # ----------------------------------------------------- ray-field parity law
 
 
-def _transport_half_loop(f, phi0: float, theta0: float, steps: int = 4096) -> float:
+def _null_angles(at, phi: float) -> list[float]:
+    """The two null directions of the second partials at angle phi on the
+    unit circle, as angles in [0, pi), ascending."""
+    return sorted(math.atan2(v, u) % math.pi
+                  for u, v in _null_vectors(*at(math.cos(phi), math.sin(phi))))
+
+
+def _transport_half_loop(at, phi0: float, theta0: float, steps: int = 4096) -> float:
     """Continue a null direction mod pi along the half circle phi0 ->
     phi0 + pi and return the lifted angle at the antipode."""
     theta = theta0
     for i in range(1, steps + 1):
-        phi = phi0 + math.pi * i / steps
-        q = second_fundamental_form(f, math.cos(phi), math.sin(phi))
-        cands = asymptotic_directions(q)
+        cands = _null_angles(at, phi0 + math.pi * i / steps)
         best = None
         for c in cands:
             for lift in (c, c + math.pi, c - math.pi, c + 2 * math.pi, c - 2 * math.pi):
@@ -182,11 +113,11 @@ def _transport_half_loop(f, phi0: float, theta0: float, steps: int = 4096) -> fl
 def _ray_field_swap(f, line_angle: float) -> bool:
     """True when transporting the line's own null direction to the antipodal
     ray lands on the other field."""
-    q = second_fundamental_form(f, math.cos(line_angle), math.sin(line_angle))
-    th1, th2 = asymptotic_directions(q)
+    at = _second_partials_float(f)
+    th1, th2 = _null_angles(at, line_angle)
     radial = line_angle % math.pi
     start = min((th1, th2), key=lambda t: min(abs(t - radial), math.pi - abs(t - radial)))
-    end = _transport_half_loop(f, line_angle, start)
+    end = _transport_half_loop(at, line_angle, start)
     other = th2 if start == th1 else th1
     dist_same = min(abs((end - start) % math.pi), math.pi - abs((end - start) % math.pi))
     dist_other = min(abs((end - other) % math.pi), math.pi - abs((end - other) % math.pi))
@@ -279,6 +210,15 @@ def test_integrate_break_names_the_vertex():
     x, y = float(m.group(1)), float(m.group(2))
     assert f"{math.hypot(x, y):.3g}" == m.group(3)
     assert math.hypot(x, y) < 0.02
+
+
+def test_integrate_raises_overflow_at_the_first_vertex_past_the_float_range():
+    # the discriminant 12x^2 + 4y^2 of F3's second partials is finite at the
+    # seed and overflows some 35 steps out: the stepper names that vertex
+    with pytest.raises(OverflowError, match=re.escape(
+            "second partials out of the float range at "
+            "(3.486143753624015e+153, 2.9969800072825735e+153)")):
+        integrate_curve(F3, (1e153, 0.0), step=1e152, max_len=2e154, viewport=1e155)
 
 
 def test_integrate_validates_arguments():

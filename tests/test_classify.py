@@ -1,5 +1,6 @@
 """Index computation, component bookkeeping, and numeric winding checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,10 +13,14 @@ from hypothesis import strategies as st
 from hypforms import (
     BinaryForm,
     NotHyperbolicError,
+    UniPoly,
     admissible_indices,
     classify_form,
     count_real_linear_factors,
+    hessian,
     index_gamma,
+    is_hyperbolic,
+    is_nonpositive_on_unit_interval,
     num_components,
     parse_form,
     representatives,
@@ -106,6 +111,35 @@ def test_component_count_closed_form(d):
     assert idxs[-1] == 2 - d
     assert all(a - b == 2 for a, b in zip(idxs, idxs[1:]))
     assert all((i - d) % 2 == 0 for i in idxs)
+
+
+@pytest.mark.parametrize("s, want, lo", [(1, (0, -24, -12), -2), (-1, (0, 24, -12), 0)])
+def test_quartic_lemma_hessian_at_a_diagonal_is_nonnegative(s, want, lo):
+    # f_b = xy(x^2 + bxy + y^2) = g + b*h.  Hess f_b(1, s), a quadratic in
+    # b, is Hess g + b*M + b^2*Hess h at (1, s), with M the mixed term
+    # Hess(g + h) - Hess g - Hess h.  It is -12b(b + 2s), >= 0 for b in
+    # [lo, lo + 2]: the two intervals cover (-2, 2), so no f_b with a
+    # definite quadratic factor is hyperbolic.
+    g, h = parse_form("x^3*y + x*y^3"), parse_form("x^2*y^2")
+    mixed = hessian(g + h) - hessian(g) - hessian(h)
+    hess_at = UniPoly(tuple(p.eval(1, s) for p in (hessian(g), mixed, hessian(h))))
+    assert hess_at == UniPoly(want)
+    b = UniPoly((lo, 2))  # b = lo + 2t sends t in [0, 1] onto [lo, lo + 2]
+    composed = UniPoly.zero()
+    for c in reversed(hess_at.coeffs):
+        composed = composed * b + UniPoly.const(c)
+    assert is_nonpositive_on_unit_interval(-composed, strict=False)
+
+
+def test_every_hyperbolic_quartic_of_the_census_has_index_minus_2():
+    # the integer quartics in [-2, 2] with a nonnegative x^4 coefficient
+    hyperbolic = []
+    for cs in itertools.product(range(3), *[range(-2, 3)] * 4):
+        f = BinaryForm(4, cs)
+        if any(cs) and is_hyperbolic(f).is_hyperbolic:
+            hyperbolic.append(f)
+    assert len(hyperbolic) == 110
+    assert {index_gamma(f) for f in hyperbolic} == {-2}
 
 
 # ----------------------------------------------------------------- winding

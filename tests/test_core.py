@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import struct
 import sys
 import time
 from fractions import Fraction
@@ -16,21 +17,17 @@ from hypforms import (
     LinearForm,
     ParseError,
     UniPoly,
-    euler_check,
     format_form,
     parse_form,
     rotational_derivative,
 )
 from hypforms.asymptotics import (
     CurvePolyline,
-    QuadFormAt,
-    asymptotic_residual,
     discriminant_omega,
     integrate_curve,
     polylines_to_svg,
-    second_fundamental_form,
 )
-from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE, MAX_NESTING
+from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE, MAX_NESTING, eval_float3, second_partials
 from hypforms.families import even_pad, representatives
 
 rationals = st.fractions(
@@ -312,10 +309,53 @@ def test_eval_float_matches_term_sum_bit_for_bit():
         assert g.eval_float(0.5, -1.25) == f.eval_float(0.5, -1.25)
 
 
+def _packed_sum(f, x, y):
+    """The bytes of _float_sum(f, x, y), or OverflowError when it raises."""
+    try:
+        return struct.pack("<d", _float_sum(f, x, y))
+    except OverflowError:
+        return OverflowError
+
+
+@pytest.mark.parametrize("triple", [
+    pytest.param(second_partials, id="second-partials"),
+    pytest.param(lambda f: (f, rotational_derivative(f),
+                            rotational_derivative(rotational_derivative(f))), id="alpha-jet"),
+])
+def test_eval_float3_matches_the_term_sum_bit_for_bit(triple):
+    # the two triples the float layer reads: the second partials (the lift,
+    # the stepper and the gamma winding) and the alpha jet (f, R f, R^2 f)
+    rng = random.Random(20261021)
+    points = [(-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0), (5e-324, -1.0), (-1.5, 5e-324),
+              (1e-150, -1e-150), (-1e-150, 0.75), (1e200, -1e200)]
+    points += [tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 1.0)
+                     for _ in range(2)) for _ in range(8)]
+    points += [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(8)]
+    forms = [m.form for d in range(3, 42) if d != 4 for m in representatives(d)]
+    forms += [parse_form(t) for t in ("x*y", "x^2 - 5*y^2", "(x - 2*y)^100")]
+    compared = raised = 0
+    for f in forms:
+        forms3 = triple(f)
+        at = eval_float3(*forms3)
+        for x, y in points:
+            want = tuple(_packed_sum(p, x, y) for p in forms3)
+            if OverflowError in want:
+                with pytest.raises(OverflowError):
+                    at(x, y)
+                raised += 1
+            else:
+                got = tuple(struct.pack("<d", v) for v in at(x, y))
+                assert got == want, (str(f), x, y)
+                compared += 1
+    assert compared > 20 * len(forms) and raised > 0
+
+
 @given(forms(max_degree=5, min_degree=1))
 @settings(max_examples=60)
 def test_form_euler_identity(f):
-    assert euler_check(f)
+    # x*f_x + y*f_y == D*f
+    x, y = parse_form("x"), parse_form("y")
+    assert x * f.partial_x() + y * f.partial_y() == f.degree * f
 
 
 @given(forms(max_degree=5, min_degree=2), forms(max_degree=3, min_degree=1))
@@ -399,34 +439,12 @@ _CURVE = CurvePolyline(((1.0, 0.0), (1.0, 0.5)), "F1", (1.0, 0.0))
                  id="partial_y"),
     pytest.param(lambda: rotational_derivative(_ONE), ValueError,
                  "rotational derivative needs degree >= 1", id="rotational_derivative"),
-    pytest.param(lambda: euler_check(_ONE), ValueError, "euler_check needs degree >= 1",
-                 id="euler_check"),
     pytest.param(lambda: LinearForm(0, 0), ValueError, "linear form must be nonzero",
                  id="LinearForm"),
     pytest.param(lambda: representatives(2), ValueError, "representatives need degree >= 3",
                  id="representatives"),
-    pytest.param(lambda: second_fundamental_form(parse_form("x"), 1.0, 0.0), ValueError,
-                 "second partials need degree >= 2", id="second_fundamental_form"),
-    pytest.param(lambda: asymptotic_residual(QuadFormAt(1.0, 0.0, -1.0, (1.0, 0.0)), (0.0, 0.0)),
-                 ValueError, "direction must be nonzero", id="asymptotic_residual"),
-    pytest.param(lambda: asymptotic_residual(QuadFormAt(math.nan, 0.0, 0.0, (1.0, 0.0)), (1.0, 0.0)),
-                 ValueError, "quadratic form and direction must be finite",
-                 id="asymptotic_residual-nan-form"),
-    pytest.param(lambda: asymptotic_residual(QuadFormAt(math.inf, 1.0, -1.0, (1.0, 0.0)), (0.0, 1.0)),
-                 ValueError, "quadratic form and direction must be finite",
-                 id="asymptotic_residual-inf-form"),
-    pytest.param(lambda: asymptotic_residual(QuadFormAt(1.0, 0.0, -1.0, (1.0, 0.0)), (math.nan, 1.0)),
-                 ValueError, "quadratic form and direction must be finite",
-                 id="asymptotic_residual-nan-direction"),
-    pytest.param(lambda: asymptotic_residual(QuadFormAt(1.0, 0.0, -1.0, (1.0, 0.0)), (math.inf, 1.0)),
-                 ValueError, "quadratic form and direction must be finite",
-                 id="asymptotic_residual-inf-direction"),
     pytest.param(lambda: discriminant_omega(parse_form("x"), even_pad(1)), ValueError,
                  "line-product factor must have degree >= 2", id="discriminant_omega"),
-    pytest.param(lambda: second_fundamental_form(_F3, math.nan, 1.0), ValueError,
-                 "base point must be finite", id="second_fundamental_form-nan-point"),
-    pytest.param(lambda: second_fundamental_form(_F3, 1.0, -math.inf), ValueError,
-                 "base point must be finite", id="second_fundamental_form-inf-point"),
     pytest.param(lambda: integrate_curve(_F3, (math.nan, 1.0)), ValueError,
                  "seed must be finite", id="integrate_curve-nan-seed"),
     pytest.param(lambda: integrate_curve(_F3, (1.0, math.inf)), ValueError,
@@ -441,6 +459,11 @@ _CURVE = CurvePolyline(((1.0, 0.0), (1.0, 0.5)), "F1", (1.0, 0.0))
                  "viewport must be finite and positive", id="polylines_to_svg-nan-viewport"),
     pytest.param(lambda: polylines_to_svg([_CURVE], viewport=math.inf), ValueError,
                  "viewport must be finite and positive", id="polylines_to_svg-inf-viewport"),
+    pytest.param(lambda: polylines_to_svg([_CURVE, CurvePolyline((), "F1", (1.0, 0.0))]),
+                 ValueError, "curve 1 has no points", id="polylines_to_svg-no-points"),
+    pytest.param(lambda: polylines_to_svg([CurvePolyline(_CURVE.points, "F3", (1.0, 0.0))]),
+                 ValueError, "curve 0 has field label 'F3', not 'F1' or 'F2'",
+                 id="polylines_to_svg-unknown-field"),
 ])
 def test_input_guards_reject_inputs_outside_their_domain(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
