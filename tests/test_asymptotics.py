@@ -1,14 +1,15 @@
-"""Null-direction fields: index halving, ray-field parity, curve integration,
-cross-term discriminants, and deformation checks."""
+"""Null-direction fields: pointwise data, index halving, ray-field parity,
+curve integration, cross-term discriminants, and deformation checks."""
 
 import math
+import random
 import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from hypforms import asymptotics, verify
+from hypforms import asymptotics, classify, verify
 from hypforms import (
     RefinementError,
     check_isotopies,
@@ -25,11 +26,97 @@ from hypforms import (
 )
 from hypforms.asymptotics import ISOTOPY_GRID, _null_vectors
 from hypforms.classify import _second_partials_float
-from hypforms.core import second_partials
+from hypforms.core import eval_float3, second_partials
 from hypforms.families import even_pad
 
 F3 = parse_form("x^3 - x*y^2")        # three lines: x=0, y=+-x
 F4 = parse_form("x^3*y - x*y^3")      # four lines: x=0, y=0, y=+-x
+
+
+# ------------------------------------------------------ pointwise quadratic
+# The second fundamental form at a point is read by _second_partials_float
+# (the lift and the gamma winding) and, inline, by the curve stepper; its
+# null directions are _null_vectors'.
+
+
+def test_second_fundamental_form_values():
+    a, b, c = _second_partials_float(F3)(1.0, 0.0)
+    assert (a, b, c) == (6.0, 0.0, -2.0)
+    assert b * b - a * c > 0
+
+
+def test_second_fundamental_form_rejects_origin():
+    with pytest.raises(RefinementError,
+                       match=r"^second partials not indefinite at \(0\.0, 0\.0\)$"):
+        _second_partials_float(F3)(0.0, 0.0)
+    with pytest.raises(ValueError, match="^seed must differ from the origin$"):
+        integrate_curve(F3, (0.0, 0.0))
+
+
+def test_asymptotic_directions_are_null():
+    at = _second_partials_float(F4)
+    for x, y in ((1.0, 0.0), (0.7, -1.3), (2.0, 0.5)):
+        a, b, c = at(x, y)
+        angles = []
+        for u, v in _null_vectors(a, b, c):
+            n = math.hypot(u, v)
+            u, v = u / n, v / n
+            # the form on the unit vector, over the coefficient norm
+            residual = abs(a * u * u + 2.0 * b * u * v + c * v * v)
+            assert residual / math.sqrt(a * a + 4.0 * b * b + c * c) < 1e-12, (x, y)
+            angles.append(math.atan2(v, u) % math.pi)
+        th1, th2 = sorted(angles)
+        assert 0.0 <= th1 < th2 < math.pi
+
+
+def test_asymptotic_directions_need_positive_discriminant():
+    with pytest.raises(RefinementError,
+                       match=r"^second partials not indefinite at \(1\.0, 0\.0\)$"):
+        _second_partials_float(parse_form("x^2 + y^2"))(1.0, 0.0)
+
+
+_OUT_OF_RANGE = "second partials out of the float range at (1.0, 0.0)"
+_NOT_INDEFINITE = "second partials not indefinite at (1.0, 0.0)"
+
+
+@pytest.mark.parametrize("a, b, c, error, message", [
+    pytest.param(math.nan, 0.0, 0.0, OverflowError, _OUT_OF_RANGE, id="nan-a"),
+    pytest.param(1.0, math.nan, -1.0, OverflowError, _OUT_OF_RANGE, id="nan-b"),
+    pytest.param(math.inf, 1.0, -1.0, OverflowError, _OUT_OF_RANGE, id="inf-a"),
+    pytest.param(0.0, -math.inf, 0.0, OverflowError, _OUT_OF_RANGE, id="inf-b"),
+    pytest.param(math.inf, 0.0, 0.0, OverflowError, _OUT_OF_RANGE, id="inf-times-zero"),
+    pytest.param(1.0, 0.0, 1.0, RefinementError, _NOT_INDEFINITE, id="negative"),
+    pytest.param(0.0, 0.0, 0.0, RefinementError, _NOT_INDEFINITE, id="zero"),
+])
+def test_asymptotic_directions_reject_a_discriminant_that_is_not_positive_and_finite(
+        monkeypatch, a, b, c, error, message):
+    # the lift's checked read and the stepper's inline check refuse the same
+    # second partials with the same error, before any null direction is formed
+    def fixed(*forms):
+        return lambda x, y: (a, b, c)
+
+    monkeypatch.setattr(classify, "eval_float3", fixed)
+    monkeypatch.setattr(asymptotics, "eval_float3", fixed)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _second_partials_float(F3)(1.0, 0.0)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        integrate_curve(F3, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("d", [5, 9, 13])
+def test_second_fundamental_form_is_the_form_the_stepper_reads(d):
+    # the stepper reads eval_float3 of the second partials, the lift reads
+    # _second_partials_float: both give eval_float's floats, not a nearby
+    # rounding
+    rng = random.Random(2200 + d)
+    for member in representatives(d):
+        partials = second_partials(member.form)
+        ev = eval_float3(*partials)
+        at = _second_partials_float(member.form)
+        for _ in range(20):
+            x, y = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            want = tuple(p.eval_float(x, y) for p in partials)
+            assert at(x, y) == ev(x, y) == want, (member.label, x, y)
 
 
 # ----------------------------------------------------------- index halving

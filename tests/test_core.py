@@ -27,6 +27,7 @@ from hypforms.asymptotics import (
     integrate_curve,
     polylines_to_svg,
 )
+from hypforms.classify import _second_partials_float
 from hypforms.core import MAX_COEFF_DIGITS, MAX_DEGREE, MAX_NESTING, eval_float3, second_partials
 from hypforms.families import even_pad, representatives
 
@@ -350,6 +351,16 @@ def test_eval_float3_matches_the_term_sum_bit_for_bit(triple):
     assert compared > 20 * len(forms) and raised > 0
 
 
+def test_eval_float3_binds_its_coefficients_by_name():
+    # no coefficient is formatted into the generated source: the only float
+    # constant of the compiled function is the sums' starting 0.0
+    f = parse_form("1/10*x^3 - 1/3*x*y^2 + 7/5*y^3")
+    at = eval_float3(*second_partials(f))
+    floats = [k for k in at.__code__.co_consts if isinstance(k, float)]
+    assert floats == [0.0]
+    assert at(0.5, -1.25) == tuple(p.eval_float(0.5, -1.25) for p in second_partials(f))
+
+
 @given(forms(max_degree=5, min_degree=1))
 @settings(max_examples=60)
 def test_form_euler_identity(f):
@@ -445,6 +456,15 @@ _CURVE = CurvePolyline(((1.0, 0.0), (1.0, 0.5)), "F1", (1.0, 0.0))
                  id="representatives"),
     pytest.param(lambda: discriminant_omega(parse_form("x"), even_pad(1)), ValueError,
                  "line-product factor must have degree >= 2", id="discriminant_omega"),
+    # the checked second partials that the lift and the gamma winding read
+    pytest.param(lambda: _second_partials_float(parse_form("x")), ValueError,
+                 "partial derivative needs degree >= 1", id="second_fundamental_form"),
+    pytest.param(lambda: _second_partials_float(_F3)(math.nan, 1.0), OverflowError,
+                 "second partials out of the float range at (nan, 1.0)",
+                 id="second_fundamental_form-nan-point"),
+    pytest.param(lambda: _second_partials_float(_F3)(1.0, -math.inf), OverflowError,
+                 "second partials out of the float range at (1.0, -inf)",
+                 id="second_fundamental_form-inf-point"),
     pytest.param(lambda: integrate_curve(_F3, (math.nan, 1.0)), ValueError,
                  "seed must be finite", id="integrate_curve-nan-seed"),
     pytest.param(lambda: integrate_curve(_F3, (1.0, math.inf)), ValueError,
