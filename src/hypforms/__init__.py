@@ -8,118 +8,54 @@ in exact rational arithmetic and returns a certificate or a witness; floats
 appear only in the numeric cross-checks and figure emission.
 """
 
-from .core import (
-    BinaryForm,
-    LinearForm,
-    NotHyperbolicError,
-    ParseError,
-    Rat,
-    UniPoly,
-    format_form,
-    parse_form,
-    rotational_derivative,
-)
-from .certify import (
-    Certificate,
-    hess_linear_product,
-    hessian,
-    is_hyperbolic,
-    is_hyperbolic_polar,
-    is_negative_form,
-    is_nonpositive_on_unit_interval,
-    linear_extension_is_hyperbolic,
-    polar_form,
-    require_hyperbolic,
-    sturm_count,
-)
-from .classify import (
-    ComponentReport,
-    RefinementError,
-    admissible_indices,
-    classify_form,
-    count_real_linear_factors,
-    index_gamma,
-    num_components,
-    winding_alpha_numeric,
-    winding_gamma_numeric,
-    zeros_vs_critical_points,
-)
-from .families import (
-    FamilyMember,
-    arnold,
-    f_family,
-    g_even,
-    p_factorized,
-    representatives,
-    table1,
-)
-from .asymptotics import (
-    CurvePolyline,
-    IsotopyCheck,
-    check_isotopies,
-    discriminant_omega,
-    integrate_curve,
-    poincare_index_origin,
-    polylines_to_csv,
-    polylines_to_svg,
-)
-from .verify import (
-    DEFAULT_SEED,
-    SUITE_NAMES,
-    SuiteReport,
-    run_suite,
-    suite_lemma1,
-)
+import importlib
 
-__all__ = [
-    "BinaryForm",
-    "Certificate",
-    "ComponentReport",
-    "CurvePolyline",
-    "DEFAULT_SEED",
-    "FamilyMember",
-    "IsotopyCheck",
-    "LinearForm",
-    "NotHyperbolicError",
-    "ParseError",
-    "Rat",
-    "RefinementError",
-    "SUITE_NAMES",
-    "SuiteReport",
-    "UniPoly",
-    "admissible_indices",
-    "arnold",
-    "check_isotopies",
-    "classify_form",
-    "count_real_linear_factors",
-    "discriminant_omega",
-    "f_family",
-    "format_form",
-    "g_even",
-    "hess_linear_product",
-    "hessian",
-    "index_gamma",
-    "integrate_curve",
-    "is_hyperbolic",
-    "is_hyperbolic_polar",
-    "is_negative_form",
-    "is_nonpositive_on_unit_interval",
-    "linear_extension_is_hyperbolic",
-    "num_components",
-    "p_factorized",
-    "parse_form",
-    "poincare_index_origin",
-    "polar_form",
-    "polylines_to_csv",
-    "polylines_to_svg",
-    "representatives",
-    "require_hyperbolic",
-    "rotational_derivative",
-    "run_suite",
-    "sturm_count",
-    "suite_lemma1",
-    "table1",
-    "winding_alpha_numeric",
-    "winding_gamma_numeric",
-    "zeros_vs_critical_points",
-]
+# Each public name by the module that defines it.  A module is imported on
+# the first access to one of its names (PEP 562), so `import hypforms` loads
+# none of them and a command pays only for the modules it runs.
+_EXPORTS = {
+    "core": (
+        "BinaryForm", "LinearForm", "NotHyperbolicError", "ParseError", "Rat",
+        "UniPoly", "format_form", "parse_form", "rotational_derivative",
+    ),
+    "certify": (
+        "Certificate", "hess_linear_product", "hessian", "is_hyperbolic",
+        "is_hyperbolic_polar", "is_negative_form", "is_nonpositive_on_unit_interval",
+        "linear_extension_is_hyperbolic", "polar_form", "require_hyperbolic",
+        "sturm_count",
+    ),
+    "classify": (
+        "ComponentReport", "RefinementError", "admissible_indices", "classify_form",
+        "count_real_linear_factors", "index_gamma", "num_components",
+        "winding_alpha_numeric", "winding_gamma_numeric", "zeros_vs_critical_points",
+    ),
+    "families": (
+        "FamilyMember", "arnold", "f_family", "g_even", "p_factorized",
+        "representatives", "table1",
+    ),
+    "asymptotics": (
+        "CurvePolyline", "IsotopyCheck", "check_isotopies", "discriminant_omega",
+        "integrate_curve", "poincare_index_origin", "polylines_to_csv",
+        "polylines_to_svg",
+    ),
+    "suites": ("SUITE_NAMES",),
+    "verify": ("DEFAULT_SEED", "SuiteReport", "run_suite", "suite_lemma1"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name, or one of the modules that define them, on first use;
+    any other name is an AttributeError, so that `from hypforms import cli`
+    still imports the submodule."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

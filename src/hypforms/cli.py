@@ -44,17 +44,18 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .certify import (
-    Certificate, float_roots, is_hyperbolic, is_hyperbolic_polar, require_hyperbolic,
-)
-from .classify import RefinementError, admissible_indices, classify_form
 from .core import BinaryForm, NotHyperbolicError, ParseError, parse_form, format_form
-from .families import FamilyMember, arnold, f_family, g_even, p_factorized, representatives
-from .asymptotics import (
-    MAX_ARM_STEPS, CurvePolyline, integrate_curve, polylines_to_csv, polylines_to_svg,
-)
-from .verify import SUITE_NAMES, SuiteReport, run_suite, suite_lemma1
+from .suites import SUITE_NAMES
+
+# every other module is imported by the command that runs it, so that a
+# command loads only what it needs
+if TYPE_CHECKING:
+    from .asymptotics import CurvePolyline
+    from .certify import Certificate
+    from .families import FamilyMember
+    from .verify import SuiteReport
 
 
 def _cert_dict(cert: Certificate) -> dict:
@@ -117,6 +118,8 @@ def _parse_domain(poly: str, what: str, min_degree: int) -> BinaryForm | None:
 
 def cmd_check(poly: str) -> int:
     """Certify hyperbolicity by both methods and report any disagreement."""
+    from .certify import is_hyperbolic, is_hyperbolic_polar
+
     f = _parse_domain(poly, "hyperbolicity", 2)
     if f is None:
         return 2
@@ -141,6 +144,8 @@ def cmd_check(poly: str) -> int:
 
 def cmd_index(poly: str) -> int:
     """Classify a hyperbolic form: index, component rank, factor count."""
+    from .classify import admissible_indices, classify_form
+
     f = _parse_domain(poly, "classification by index", 3)
     if f is None:
         return 2
@@ -164,24 +169,26 @@ def cmd_index(poly: str) -> int:
 
 
 # kind -> (parameter count, names of the parameters, builder of the members
-# from the parameters and the --even flag)
+# from the families module, the parameters and the --even flag)
 _FAMILIES = {
-    "arnold": (2, "degree and factor count", lambda ps, even: [arnold(*ps)]),
-    "pfact": (1, "k", lambda ps, even: [p_factorized(*ps, even=even)]),
-    "g": (1, "n", lambda ps, even: [g_even(*ps)]),
-    "f": (2, "n and k", lambda ps, even: [f_family(*ps, even=even)]),
-    "reps": (1, "the degree", lambda ps, even: representatives(*ps)),
+    "arnold": (2, "degree and factor count", lambda fam, ps, even: [fam.arnold(*ps)]),
+    "pfact": (1, "k", lambda fam, ps, even: [fam.p_factorized(*ps, even=even)]),
+    "g": (1, "n", lambda fam, ps, even: [fam.g_even(*ps)]),
+    "f": (2, "n and k", lambda fam, ps, even: [fam.f_family(*ps, even=even)]),
+    "reps": (1, "the degree", lambda fam, ps, even: fam.representatives(*ps)),
 }
 
 
 def cmd_family(kind: str, params: list[int], even: bool) -> int:
     """Emit family members as polynomial text plus metadata, one per line."""
+    from . import families
+
     count, names, build = _FAMILIES[kind]
     try:
         if len(params) != count:
             words = ("one parameter", "two parameters")[count - 1]
             raise ValueError(f"{kind} takes {words}: {names}")
-        members = build(params, even)
+        members = build(families, params, even)
     except ValueError as exc:
         print(f"bad family parameters: {exc}", file=sys.stderr)
         return 2
@@ -207,6 +214,8 @@ def _summarize(reports: list[SuiteReport]) -> int:
 
 def cmd_verify(suite: str, d_max: int | None, n_max: int | None, seed: int | None) -> int:
     """Run one verification suite (or all) and emit the JSON reports."""
+    from .verify import run_suite
+
     try:
         reports = run_suite(suite, d_max=d_max, n_max=n_max, seed=seed)
     except ValueError as exc:
@@ -219,6 +228,8 @@ def cmd_verify(suite: str, d_max: int | None, n_max: int | None, seed: int | Non
 
 def cmd_lemma1(n_max: int) -> int:
     """Certify the bump polynomial's critical point and maximum for each n."""
+    from .verify import suite_lemma1
+
     try:
         report = suite_lemma1(n_max)
     except ValueError as exc:
@@ -232,6 +243,8 @@ def cmd_lemma1(n_max: int) -> int:
 def _line_directions(f: BinaryForm) -> list[tuple[float, float]]:
     """One unit vector per real zero line of f: (1, t)/|(1, t)| in the right
     half plane x > 0 for the line y = t*x, and (0, 1) for the line x = 0."""
+    from .certify import float_roots
+
     dirs: list[tuple[float, float]] = []
     for t in float_roots(f.restrict("x=1")):  # roots t give the lines y = t*x
         n = math.hypot(1.0, t)
@@ -266,6 +279,9 @@ def figure_curves(
     f: BinaryForm, step: float = 1e-3, viewport: float = 2.0
 ) -> list[CurvePolyline]:
     """Both asymptotic-field integral curves through every figure seed."""
+    from .asymptotics import integrate_curve
+    from .certify import require_hyperbolic
+
     require_hyperbolic(f)
     # eval_float converts the coefficients on its first call: one with no
     # float value raises OverflowError here, before the exact seed search
@@ -286,6 +302,9 @@ def figure_curves(
 def cmd_curves(poly: str, out: str, step: float, viewport: float) -> int:
     """Integrate the asymptotic fields of a hyperbolic form and write the
     figure as SVG (or the raw polylines as CSV)."""
+    from .asymptotics import MAX_ARM_STEPS, polylines_to_csv, polylines_to_svg
+    from .classify import RefinementError
+
     f = _parse_domain(poly, "hyperbolicity", 2)
     if f is None:
         return 2

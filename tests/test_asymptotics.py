@@ -397,6 +397,15 @@ def test_discriminant_omega_rejects_wrong_q():
         discriminant_omega(p, parse_form("x^2 + 2*y^2"))
 
 
+def test_discriminant_omega_checks_the_mixed_derivative_identity(monkeypatch):
+    # a Hessian off by a factor of 2 breaks the identity that the cross-term
+    # algebra rests on, and discriminant_omega refuses the pair
+    hessian = asymptotics.hessian
+    monkeypatch.setattr(asymptotics, "hessian", lambda f: Fraction(2) * hessian(f))
+    with pytest.raises(ValueError, match="^mixed second-derivative identity failed$"):
+        discriminant_omega(parse_form("x^3 - x*y^2"), parse_form("x^2 + y^2"))
+
+
 @pytest.mark.parametrize("p, q", [
     ("x^2*(x^2 - y^2)", "x^2 + y^2"),    # repeated factor
     ("x^3 - x*y^2", "x^2 + 2*y^2"),      # not x^(2n) + y^(2n)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from hypforms import arnold, parse_form, polylines_to_csv, sturm_count
 from hypforms.certify import Certificate, float_roots
-from hypforms import cli, verify
+from hypforms import certify, cli, verify
 from hypforms.cli import _line_directions, main
 
 
@@ -57,7 +57,7 @@ def test_check_prints_a_witness_past_the_int_digit_limit(capsys, monkeypatch):
     # is lifted while it is formatted, and only then
     sevens = 7 * (10**5000 - 1) // 9
     wide = Certificate("not_hyperbolic", "hessian", 2, (Fraction(1), Fraction(sevens)))
-    monkeypatch.setattr(cli, "is_hyperbolic", lambda f: wide)
+    monkeypatch.setattr(certify, "is_hyperbolic", lambda f: wide)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     code, out, err = run(capsys, "check", "x^2 + y^2")
     assert code == 1
@@ -72,7 +72,7 @@ def test_check_prints_a_witness_past_the_int_digit_limit(capsys, monkeypatch):
 def test_check_routes_that_disagree_exit_3(capsys, monkeypatch):
     # the polar route is made to contradict the Hessian route
     rejected = Certificate("not_hyperbolic", "polar", 4, (Fraction(1), Fraction(0)))
-    monkeypatch.setattr(cli, "is_hyperbolic_polar", lambda f: rejected)
+    monkeypatch.setattr(certify, "is_hyperbolic_polar", lambda f: rejected)
     code, out, err = run(capsys, "check", "x^3 - x*y^2")
     assert code == 3
     doc = json.loads(out)
@@ -463,7 +463,7 @@ def test_curves_second_partials_outside_the_float_range_are_bad_input(
 
 def test_curves_coefficient_with_no_float_value_fails_before_the_seed_search(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "float_roots", lambda *a: pytest.fail("seed search ran"))
+    monkeypatch.setattr(certify, "float_roots", lambda *a: pytest.fail("seed search ran"))
     out = tmp_path / "n.svg"
     poly = f"{'9' * 4299}*x^3 - {'7' * 4000}*x*y^2"
     code, _, err = run(capsys, "curves", "--poly", poly, "--out", str(out))
@@ -531,20 +531,58 @@ def test_figure_seeds_every_zero_line_of_a_harmonic_power(m):
 # ----------------------------------------------------------------- runtime
 
 
-def test_cli_imports_only_the_standard_library():
-    # a new interpreter, so that no module a test imported counts; modules
-    # the interpreter loads at startup (site hooks) are left out
-    script = (
-        "import sys; before = set(sys.modules); import hypforms.cli; "
-        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
-    )
+def _modules_loaded_by(script: str, *args: str) -> list[str]:
+    """Run script in a new interpreter, so that no module a test imported
+    counts, with args as sys.argv[1:]; return the words it prints."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    loaded = done.stdout.split()
-    assert "hypforms" in loaded
-    assert [m for m in loaded if m not in sys.stdlib_module_names and m != "hypforms"] == []
+    return done.stdout.split()
+
+
+def test_cli_imports_only_the_standard_library():
+    # modules the interpreter loads at startup (site hooks) are left out; of
+    # the package, the parser needs only core and the registry of suites
+    script = (
+        "import sys; before = set(sys.modules); import hypforms.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    loaded = _modules_loaded_by(script)
+    tops = {m.split(".")[0] for m in loaded}
+    assert "hypforms" in tops
+    assert [m for m in tops if m not in sys.stdlib_module_names and m != "hypforms"] == []
+    assert [m for m in loaded if m.split(".")[0] == "hypforms"] == [
+        "hypforms", "hypforms.cli", "hypforms.core", "hypforms.suites"]
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["check", "x^3 - x*y^2"], ["hypforms.certify"]),
+    (["index", "x^3 - x*y^2"], ["hypforms.certify", "hypforms.classify"]),
+    (["family", "reps", "5"], ["hypforms.families"]),
+], ids=["check", "index", "family"])
+def test_each_command_imports_only_the_modules_it_runs(argv, added):
+    # the package modules a command loads beyond those of the parser; a
+    # command that fails exits non-zero and fails the run
+    script = (
+        "import contextlib, io, sys\n"
+        "import hypforms.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hypforms.cli.main(sys.argv[1:])\n"
+        "print(*sorted(m for m in set(sys.modules) - before if m.startswith('hypforms')))\n"
+        "sys.exit(code)\n"
+    )
+    assert _modules_loaded_by(script, *argv) == added
+
+
+def test_check_without_an_int_digit_limit_prints_the_same_witness(capsys, monkeypatch):
+    # an interpreter before 3.10.7 has no int-to-str limit, and so no
+    # sys.get_int_max_str_digits; the witness is formatted as it is
+    code, out, _ = run(capsys, "check", "(x^2-y^2)*(x^2+y^2)")
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run(capsys, "check", "(x^2-y^2)*(x^2+y^2)") == (code, out, "")
+    assert json.loads(out)["hessian"]["witness"] is not None
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
