@@ -15,8 +15,8 @@ import importlib
 # none of them and a command pays only for the modules it runs.
 _EXPORTS = {
     "core": (
-        "BinaryForm", "LinearForm", "NotHyperbolicError", "ParseError", "Rat",
-        "UniPoly", "format_form", "parse_form", "rotational_derivative",
+        "BinaryForm", "NotHyperbolicError", "ParseError", "UniPoly", "format_form",
+        "parse_form", "rotational_derivative",
     ),
     "certify": (
         "Certificate", "hess_linear_product", "hessian", "is_hyperbolic",

@@ -20,7 +20,7 @@ from .classify import (
     _MAX_DEPTH, RefinementError, _not_indefinite, _second_partials_float,
     count_real_linear_factors,
 )
-from .core import BinaryForm, Rat, eval_float3, second_partials
+from .core import BinaryForm, eval_float3, second_partials
 from .families import even_pad
 
 
@@ -39,17 +39,19 @@ class CurvePolyline:
 
 @dataclass(frozen=True)
 class IsotopyCheck:
-    """Verdict for one deformation family over a grid of parameter values.
+    """Verdict for one deformation family over the values of ISOTOPY_GRID.
 
-    verdict is True iff the family's quadratic form has strictly positive
-    discriminant off the origin at every grid value; failed_ts lists the
-    grid values where that certification did not hold.
+    failed_ts lists the grid values where the family's quadratic form was
+    not certified to have strictly positive discriminant off the origin.
     """
 
     kind: str
-    t_grid: tuple[Fraction, ...]
-    verdict: bool
     failed_ts: tuple[Fraction, ...] = ()
+
+    @property
+    def verdict(self) -> bool:
+        """True iff the certification held at every grid value."""
+        return not self.failed_ts
 
 
 def _null_vectors(a: float, b: float, c: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -274,7 +276,7 @@ def _cross_blocks(p: BinaryForm, q: BinaryForm):
     pxx, pxy, pyy = second_partials(p)
     sa, sb, sc = px * qx, px * qy + py * qx, py * qy
     t_comb = pxx * py * qy + pyy * px * qx - pxy * sb
-    expected = Rat(2 * n, p.degree - 1) * (q * hessian(p))
+    expected = Fraction(2 * n, p.degree - 1) * (q * hessian(p))
     if t_comb != expected:
         raise ValueError("mixed second-derivative identity failed")
     qa, qb, qc = q * pxx, q * pxy, q * pyy
@@ -341,8 +343,7 @@ def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
     p_ok = is_hyperbolic(p).is_hyperbolic
     checks = []
     for kind, holds in (("phi", phi), ("psi", psi), ("gamma_t", lambda t: p_ok)):
-        failed = tuple(t for t in ISOTOPY_GRID if not holds(t))
-        checks.append(IsotopyCheck(kind, ISOTOPY_GRID, not failed, failed))
+        checks.append(IsotopyCheck(kind, tuple(t for t in ISOTOPY_GRID if not holds(t))))
     return checks
 
 

@@ -41,7 +41,7 @@ from operator import lshift, neg
 from typing import Iterator
 
 from .core import (
-    BinaryForm, LinearForm, NotHyperbolicError, Rat, UniPoly,
+    BinaryForm, NotHyperbolicError, UniPoly,
     _cleared, _deriv, _dx, _hom_eval, _mul_int, _over, _rot, _trim,
 )
 
@@ -404,7 +404,7 @@ def is_nonpositive_on_unit_interval(p: UniPoly, strict: bool) -> bool:
 # negativity of even forms
 # ---------------------------------------------------------------------------
 
-def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
+def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Fraction, Fraction] | None]:
     """Decide h(x, y) < 0 for all (x, y) != (0, 0).
 
     h must be nonzero of even degree.  By homogeneity it is enough that
@@ -442,7 +442,7 @@ def is_negative_form(h: BinaryForm) -> tuple[bool, tuple[Rat, Rat] | None]:
 
 
 def _root_witness(ints: list[int], ps: list[int], g: list[int],
-                  roots: list[list]) -> tuple[Rat, Rat] | None:
+                  roots: list[list]) -> tuple[Fraction, Fraction] | None:
     """The witness of a rejection, from ints, its squarefree part ps, the
     gcd g = ints / ps and the isolation roots of ps.
 
@@ -510,7 +510,7 @@ class Certificate:
     verdict: str                     # "hyperbolic" | "not_hyperbolic"
     method: str                      # "hessian" | "polar"
     degree: int
-    witness: tuple[Rat, Rat] | None = None
+    witness: tuple[Fraction, Fraction] | None = None
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -590,20 +590,28 @@ def require_hyperbolic(f: BinaryForm) -> Certificate:
 # products with a linear factor
 # ---------------------------------------------------------------------------
 
-def hess_linear_product(l: LinearForm, f: BinaryForm) -> BinaryForm:
+def _line(l: BinaryForm) -> tuple[Fraction, Fraction]:
+    """(a, b) of the line l = a*x + b*y, a nonzero form of degree 1."""
+    if l.degree != 1 or l.is_zero():
+        raise ValueError("line must be a nonzero form of degree 1")
+    return l.coeffs
+
+
+def hess_linear_product(l: BinaryForm, f: BinaryForm) -> BinaryForm:
     """Hessian of l*f assembled without differentiating the product:
     ((D+1)/(D-1)) * l^2 * hessian(f) - (a*f_y - b*f_x)^2 for l = a*x + b*y."""
+    a, b = _line(l)
     d = f.degree
     if d < 2:
         raise ValueError("needs deg f >= 2")
-    lf = l.to_form()
-    g = l.a * f.partial_y() - l.b * f.partial_x()
-    return Fraction(d + 1, d - 1) * (lf * lf * hessian(f)) - g * g
+    g = a * f.partial_y() - b * f.partial_x()
+    return Fraction(d + 1, d - 1) * (l * l * hessian(f)) - g * g
 
 
-def linear_extension_is_hyperbolic(l: LinearForm, f: BinaryForm) -> bool:
-    """For hyperbolic f: l*f is hyperbolic iff l does not divide
+def linear_extension_is_hyperbolic(l: BinaryForm, f: BinaryForm) -> bool:
+    """For hyperbolic f: l*f is hyperbolic iff l = a*x + b*y does not divide
     a*f_y - b*f_x.  Divisibility is read off at the root direction of l."""
+    a, b = _line(l)
     require_hyperbolic(f)
-    g = l.a * f.partial_y() - l.b * f.partial_x()
-    return g.eval(l.b, -l.a) != 0
+    g = a * f.partial_y() - b * f.partial_x()
+    return g.eval(b, -a) != 0

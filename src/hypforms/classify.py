@@ -100,7 +100,11 @@ class ComponentReport:
     degree: int
     index: int
     component_rank: int
-    factor_count: int
+
+    @property
+    def factor_count(self) -> int:
+        """The number of real lines of the form, 2 - index."""
+        return 2 - self.index
 
 
 def classify_form(f: BinaryForm) -> ComponentReport:
@@ -111,7 +115,6 @@ def classify_form(f: BinaryForm) -> ComponentReport:
         degree=f.degree,
         index=idx,
         component_rank=ranks.index(idx),
-        factor_count=2 - idx,
     )
 
 

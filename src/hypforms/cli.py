@@ -33,8 +33,9 @@ is rejected before the form is built.
 
 Reports are JSON on stdout; progress summaries, and a FAIL line for each
 failed suite case, go to stderr.  All output is deterministic for fixed
-flags; random corpora take an explicit --seed that is echoed inside the
-report.
+flags but the wall times: the wall_time of each verify and lemma1 report
+and the seconds of each stderr summary line.  Random corpora take an
+explicit --seed that is echoed inside the report.
 """
 
 from __future__ import annotations

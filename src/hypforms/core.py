@@ -27,10 +27,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-# Coefficient field: arbitrary-precision rationals in lowest terms with
-# positive denominator.  The stdlib Fraction already guarantees both.
-Rat = Fraction
-
 
 class ParseError(ValueError):
     """Raised when a polynomial text cannot be read."""
@@ -183,14 +179,6 @@ class UniPoly(_Arithmetic):
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @staticmethod
-    def zero() -> UniPoly:
-        return UniPoly(())
-
-    @staticmethod
-    def const(c) -> UniPoly:
-        return UniPoly((_rat(c),))
-
     @property
     def degree(self) -> int:
         # the zero polynomial reports degree -1
@@ -320,23 +308,6 @@ class BinaryForm(_Arithmetic):
 
     def __str__(self) -> str:
         return format_form(self)
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """a*x + b*y with (a, b) != (0, 0)."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _rat(self.a))
-        object.__setattr__(self, "b", _rat(self.b))
-        if self.a == 0 and self.b == 0:
-            raise ValueError("linear form must be nonzero")
-
-    def to_form(self) -> BinaryForm:
-        return BinaryForm(1, (self.a, self.b))
 
 
 def rotational_derivative(f: BinaryForm) -> BinaryForm:

@@ -36,7 +36,7 @@ from .classify import (
     winding_gamma_numeric,
     zeros_vs_critical_points,
 )
-from .core import BinaryForm, LinearForm, Rat, UniPoly, parse_form
+from .core import BinaryForm, UniPoly, parse_form
 from .families import (
     FamilyMember,
     even_pad,
@@ -217,7 +217,7 @@ def _expansion_terms(n: int) -> list[tuple[int, int]]:
 
 
 def _terms_to_poly(terms: list[tuple[int, int]]) -> UniPoly:
-    return sum((_mono(exp, coeff) for exp, coeff in terms), UniPoly.zero())
+    return sum((_mono(exp, coeff) for exp, coeff in terms), UniPoly(()))
 
 
 def _critical_point_case(n: int) -> dict:
@@ -373,11 +373,11 @@ def _random_line_product(rng: random.Random, degree: int) -> BinaryForm:
     return out
 
 
-def _random_linear(rng: random.Random) -> LinearForm:
+def _random_linear(rng: random.Random) -> BinaryForm:
     while True:
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
         if a or b:
-            return LinearForm(Rat(a), Rat(b))
+            return BinaryForm(1, (a, b))
 
 
 def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
@@ -412,9 +412,9 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
         cases.add(f"equivalence/random[seed={seed}]/{i:03d}",
                   rand, _random_form(rng, rng.randint(2, 8)))
 
-    def identity(line: LinearForm, form: BinaryForm):
+    def identity(line: BinaryForm, form: BinaryForm):
         lhs = hess_linear_product(line, form)
-        rhs = hessian(line.to_form() * form)
+        rhs = hessian(line * form)
         return _holds("identical forms", lhs == rhs, "differ")
     for i in range(100):
         line = _random_linear(rng)
@@ -422,9 +422,9 @@ def suite_equivalence(d_max: int = 16, seed: int = DEFAULT_SEED) -> SuiteReport:
         cases.add(f"equivalence/line-product-identity[seed={seed}]/{i:03d}",
                   identity, line, form)
 
-    def extension(line: LinearForm, base: BinaryForm):
+    def extension(line: BinaryForm, base: BinaryForm):
         predicted = linear_extension_is_hyperbolic(line, base)
-        direct = is_hyperbolic(line.to_form() * base).is_hyperbolic
+        direct = is_hyperbolic(line * base).is_hyperbolic
         return _exact(direct, predicted)
     for i in range(100):
         line = _random_linear(rng)

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from hypforms import certify
 from hypforms import (
     BinaryForm,
-    LinearForm,
     NotHyperbolicError,
     UniPoly,
     admissible_indices,
@@ -205,7 +204,7 @@ def test_sturm_count_matches_sympy_window(p, a):
 def linear_power(root: Fraction, m: int) -> UniPoly:
     """(q*t - p)^m for root = p/q."""
     lin = UniPoly((Fraction(-root.numerator), Fraction(root.denominator)))
-    out = UniPoly.const(1)
+    out = UniPoly((1,))
     for _ in range(m):
         out = out * lin
     return out
@@ -239,7 +238,7 @@ def test_sturm_count_repeated_roots_on_window_ends(lo, hi):
 def test_sturm_count_matches_sympy_window_repeated_roots(factors, complex_pair, a, b):
     # repeated rational roots on a grid of halves, so that window ends and
     # the bisection midpoints of the walk land on roots of every multiplicity
-    p = UniPoly((Fraction(1), Fraction(0), Fraction(1))) if complex_pair else UniPoly.const(1)
+    p = UniPoly((Fraction(1), Fraction(0), Fraction(1))) if complex_pair else UniPoly((1,))
     for root, m in factors:
         p = p * linear_power(root, m)
     roots = distinct_real_roots(p)
@@ -272,7 +271,7 @@ def _splits(roots, a: Fraction, b: Fraction) -> int:
 
 
 def test_root_witness_ranks_once_per_bisection_point(monkeypatch):
-    p = UniPoly.const(1)
+    p = UniPoly((1,))
     for root, m in ISOLATE_ROOTS.items():
         p = p * linear_power(root, m)
     q, g, roots = certify._isolation(certify._int_coeffs(p.coeffs))
@@ -373,7 +372,7 @@ def test_float_roots_round_irrational_roots_to_nearest():
     # 2t^3 - 10t = 2t(t^2 - 5); sqrt is correctly rounded
     p = UniPoly((Fraction(0), Fraction(-10), Fraction(0), Fraction(2)))
     assert certify.float_roots(p) == [-math.sqrt(5), 0.0, math.sqrt(5)]
-    assert certify.float_roots(UniPoly.const(3)) == []
+    assert certify.float_roots(UniPoly((3,))) == []
 
 
 # ------------------------------------------------------------ target forms
@@ -482,7 +481,7 @@ def test_certificates_are_pinned():
     reps = [m.form for d in range(3, 22) if d != 4 for m in representatives(d)]
     repeated = []
     for s in (Fraction(1), Fraction(-2), Fraction(1, 3)):
-        line = LinearForm(Fraction(1), -s).to_form()
+        line = BinaryForm(1, (Fraction(1), -s))
         for d in (3, 5, 6, 7, 9):
             repeated += [line * line * m.form for m in representatives(d)]
     assert len(reps) == 107 and len(repeated) == 39
@@ -647,7 +646,7 @@ def test_is_negative_form_returns_a_large_rational_touch(monkeypatch, u, v, k):
         return inner(g, a, b)
 
     monkeypatch.setattr(certify, "_rational_root", spy)
-    line = LinearForm(Fraction(-u), Fraction(v)).to_form()
+    line = BinaryForm(1, (Fraction(-u), Fraction(v)))
     h = Fraction(-1) * (line * line * parse_form(k))
     assert is_negative_form(h) == (False, (Fraction(1), Fraction(u, v)))
     p = sympy_slice(h)
@@ -675,7 +674,7 @@ def test_repeated_line_rejections_carry_the_touch_as_witness(d, k):
     # Hessian and the polar form both touch zero on l, and the leading
     # coefficients of their squarefree parts are past 10^9
     s = (1, 2)[k % 2]
-    line = LinearForm(Fraction(1), Fraction(-s)).to_form()
+    line = BinaryForm(1, (Fraction(1), Fraction(-s)))
     f = line * line * representatives(d - 2)[k].form
     for cert, target in ((is_hyperbolic(f), hessian(f)), (is_hyperbolic_polar(f), polar_form(f))):
         assert not cert.is_hyperbolic
@@ -709,7 +708,7 @@ def test_descartes_and_sturm_agree_on_seeded_targets():
     reps = [m.form for d in range(3, 42) if d != 4 for m in representatives(d)]
     rand = [f for f in (random_form(rng, rng.randint(2, 12)) for _ in range(1500))
             if not f.is_zero()]
-    dyadic = [LinearForm(Fraction(1), Fraction(-s)).to_form() ** 2 * m.form
+    dyadic = [BinaryForm(1, (Fraction(1), Fraction(-s))) ** 2 * m.form
               for s in (1, 2) for d in range(3, 12) if d != 4 for m in representatives(d)]
     bisected = rejected = 0
     for forms, known in ((reps, True), (rand, None), (dyadic, False)):
@@ -888,7 +887,7 @@ def test_isolation_and_sturm_walk_agree_on_seeded_rejection_targets():
         a, b = rng.randint(1, 60), rng.randint(1, 60)
         square = certify._mul_int([-a, 0, b], [-a, 0, b])
         targets.append(certify._mul_int(square, negative_definite(rng, 2 * rng.randint(0, 3))))
-    forms = [LinearForm(Fraction(s.numerator), Fraction(-s.denominator)).to_form() ** 2 * m.form
+    forms = [BinaryForm(1, (Fraction(s.numerator), Fraction(-s.denominator))) ** 2 * m.form
              for s in map(Fraction, ("1", "1/2", "1/3", "5/7"))
              for d in range(3, 14) if d != 4 for m in representatives(d)]
     forms += [random_form(rng, rng.randint(2, 10)) for _ in range(500)]
@@ -955,7 +954,7 @@ def test_repeated_line_rejections_of_the_certify_workload():
     bases = representatives(29)
     for k in range(6):
         s = (1, 2)[k % 2]
-        line = LinearForm(Fraction(1), Fraction(-s)).to_form()
+        line = BinaryForm(1, (Fraction(1), Fraction(-s)))
         f = line * line * bases[k * len(bases) // 6].form
         for cert in (is_hyperbolic(f), is_hyperbolic_polar(f)):
             assert not cert.is_hyperbolic
@@ -965,7 +964,7 @@ def test_repeated_line_rejections_of_the_certify_workload():
 
 def int_poly(factors) -> list[int]:
     """Integer coefficient list, lowest degree first, of a product of UniPolys."""
-    out = UniPoly.const(1)
+    out = UniPoly((1,))
     for f in factors:
         out = out * f
     return certify._int_coeffs(out.coeffs)
@@ -1098,7 +1097,7 @@ def unit_interval_products():
     for k in (1, 2, 3):
         for roots in itertools.combinations(UNIT_ROOTS, k):
             for mults in itertools.product((1, 2, 3), repeat=k):
-                p = UniPoly.const(1)
+                p = UniPoly((1,))
                 for r, m in zip(roots, mults):
                     line = UniPoly((Fraction(-r.numerator), Fraction(r.denominator)))
                     for _ in range(m):
@@ -1175,7 +1174,7 @@ def seeded_root_products(rng: random.Random):
         for _ in range(rng.randint(0, 4)):
             roots.add(rng.choice(grid) if rng.random() < 0.7
                       else Fraction(rng.randint(-12, 12), rng.randint(1, 7)))
-        p = UniPoly.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+        p = UniPoly((Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)),))
         for r in roots:
             p = p * linear_power(r, rng.randint(1, 3))
         pairs = rng.randint(0, 2)
@@ -1225,8 +1224,8 @@ def test_hess_linear_product_identity(ab, deg, rng):
     f = random_form(rng, deg)
     if f.is_zero():
         return
-    l = LinearForm(Fraction(a), Fraction(b))
-    assert hess_linear_product(l, f) == hessian(l.to_form() * f)
+    l = BinaryForm(1, (Fraction(a), Fraction(b)))
+    assert hess_linear_product(l, f) == hessian(l * f)
 
 
 def test_linear_extension_matches_direct_certification():
@@ -1237,16 +1236,14 @@ def test_linear_extension_matches_direct_certification():
         slopes = rng.sample(range(-6, 7), rng.randint(2, 5))
         f = BinaryForm(0, (Fraction(1),))
         for s in slopes:
-            f = f * LinearForm(Fraction(1), Fraction(-s)).to_form()
+            f = f * BinaryForm(1, (Fraction(1), Fraction(-s)))
         if not is_hyperbolic(f).is_hyperbolic:
             continue
         a, b = rng.randint(-6, 6), rng.randint(-6, 6)
         if a == 0 and b == 0:
             continue
-        l = LinearForm(Fraction(a), Fraction(b))
-        assert linear_extension_is_hyperbolic(l, f) == is_hyperbolic(
-            l.to_form() * f
-        ).is_hyperbolic
+        l = BinaryForm(1, (Fraction(a), Fraction(b)))
+        assert linear_extension_is_hyperbolic(l, f) == is_hyperbolic(l * f).is_hyperbolic
         checked += 1
 
 
@@ -1254,15 +1251,15 @@ _LINE = UniPoly((Fraction(0), Fraction(1)))  # t
 
 
 @pytest.mark.parametrize("entry, args, message", [
-    pytest.param(sturm_count, (UniPoly.zero(),), "root counting on the zero polynomial",
+    pytest.param(sturm_count, (UniPoly(()),), "root counting on the zero polynomial",
                  id="sturm_count-zero"),
     pytest.param(sturm_count, (_LINE, Fraction(1), Fraction(1)), "need a < b",
                  id="sturm_count-empty-window"),
     pytest.param(sturm_count, (_LINE, Fraction(2), Fraction(1)), "need a < b",
                  id="sturm_count-reversed-window"),
-    pytest.param(certify.float_roots, (UniPoly.zero(),), "root isolation on the zero polynomial",
+    pytest.param(certify.float_roots, (UniPoly(()),), "root isolation on the zero polynomial",
                  id="float_roots-zero"),
-    pytest.param(is_nonpositive_on_unit_interval, (UniPoly.zero(), True), "zero polynomial",
+    pytest.param(is_nonpositive_on_unit_interval, (UniPoly(()), True), "zero polynomial",
                  id="unit_interval-zero"),
     pytest.param(is_negative_form, (BinaryForm.zero(4),), "negativity test on the zero form",
                  id="is_negative_form-zero"),
@@ -1275,8 +1272,20 @@ _LINE = UniPoly((Fraction(0), Fraction(1)))  # t
                  id="is_hyperbolic"),
     pytest.param(is_hyperbolic_polar, (parse_form("x"),),
                  "hyperbolicity is defined for degree >= 2", id="is_hyperbolic_polar"),
-    pytest.param(hess_linear_product, (LinearForm(1, 0), parse_form("x")), "needs deg f >= 2",
+    pytest.param(hess_linear_product, (parse_form("x"), parse_form("x")), "needs deg f >= 2",
                  id="hess_linear_product"),
+    # the line is checked before f is read: f = x would fail with a message
+    # of its own
+    pytest.param(hess_linear_product, (BinaryForm(1, (0, 0)), parse_form("x")),
+                 "line must be a nonzero form of degree 1", id="hess_linear_product-zero-line"),
+    pytest.param(hess_linear_product, (parse_form("x^2"), parse_form("x")),
+                 "line must be a nonzero form of degree 1", id="hess_linear_product-quadratic"),
+    pytest.param(linear_extension_is_hyperbolic, (BinaryForm(1, (0, 0)), parse_form("x")),
+                 "line must be a nonzero form of degree 1",
+                 id="linear_extension_is_hyperbolic-zero-line"),
+    pytest.param(linear_extension_is_hyperbolic, (parse_form("x^2"), parse_form("x")),
+                 "line must be a nonzero form of degree 1",
+                 id="linear_extension_is_hyperbolic-quadratic"),
     pytest.param(count_real_linear_factors, (BinaryForm.zero(3),), "zero form",
                  id="count_real_linear_factors-zero"),
     pytest.param(admissible_indices, (2,), "admissible index list needs degree >= 3",

@@ -125,9 +125,9 @@ def test_quartic_lemma_hessian_at_a_diagonal_is_nonnegative(s, want, lo):
     hess_at = UniPoly(tuple(p.eval(1, s) for p in (hessian(g), mixed, hessian(h))))
     assert hess_at == UniPoly(want)
     b = UniPoly((lo, 2))  # b = lo + 2t sends t in [0, 1] onto [lo, lo + 2]
-    composed = UniPoly.zero()
+    composed = UniPoly(())
     for c in reversed(hess_at.coeffs):
-        composed = composed * b + UniPoly.const(c)
+        composed = composed * b + UniPoly((c,))
     assert is_nonpositive_on_unit_interval(-composed, strict=False)
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from hypforms import (
     BinaryForm,
-    LinearForm,
     ParseError,
     UniPoly,
     format_form,
@@ -98,7 +97,7 @@ def test_unipoly_text():
     assert str(UniPoly((Fraction(1), Fraction(0), Fraction(-3)))) == "-3*t^2 + 1"
     assert str(UniPoly((Fraction(0), Fraction(-1)))) == "-t"
     assert str(UniPoly((Fraction(-1, 2),))) == "-1/2"
-    assert str(UniPoly.zero()) == "0"
+    assert str(UniPoly(())) == "0"
 
 
 def test_parse_rejects_garbage():
@@ -405,14 +404,6 @@ def test_restrict_charts():
         f.restrict("x=2")
 
 
-def test_linear_form_to_form():
-    l = LinearForm(Fraction(2), Fraction(-3))
-    f = l.to_form()
-    assert f.degree == 1
-    assert f.eval(1, 0) == 2
-    assert f.eval(0, 1) == -3
-
-
 def test_parentheses_nest_up_to_the_limit():
     assert MAX_NESTING == 100
     text = "(" * MAX_NESTING + "x^3 - x*y^2" + ")" * MAX_NESTING
@@ -450,8 +441,6 @@ _CURVE = CurvePolyline(((1.0, 0.0), (1.0, 0.5)), "F1", (1.0, 0.0))
                  id="partial_y"),
     pytest.param(lambda: rotational_derivative(_ONE), ValueError,
                  "rotational derivative needs degree >= 1", id="rotational_derivative"),
-    pytest.param(lambda: LinearForm(0, 0), ValueError, "linear form must be nonzero",
-                 id="LinearForm"),
     pytest.param(lambda: representatives(2), ValueError, "representatives need degree >= 3",
                  id="representatives"),
     pytest.param(lambda: discriminant_omega(parse_form("x"), even_pad(1)), ValueError,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypforms import verify
-from hypforms.asymptotics import ISOTOPY_GRID, IsotopyCheck
+from hypforms.asymptotics import IsotopyCheck
 from hypforms.certify import Certificate, hessian
 from hypforms.verify import (
     DEFAULT_SEED,
@@ -125,9 +125,9 @@ def _non_hyperbolic_polar(f):
     ({"table1": lambda d_max: []}, "obs_arnold", {"d_max": 9},
      {"obs_arnold/covered/": "missing"}),
     ({"check_isotopies": lambda p, q: [
-        IsotopyCheck("phi", ISOTOPY_GRID, False, (Fraction(1, 2), Fraction(1))),
-        IsotopyCheck("psi", ISOTOPY_GRID, False, (Fraction(1),)),
-        IsotopyCheck("gamma_t", ISOTOPY_GRID, True)]}, "isotopies", {},
+        IsotopyCheck("phi", (Fraction(1, 2), Fraction(1))),
+        IsotopyCheck("psi", (Fraction(1),)),
+        IsotopyCheck("gamma_t")]}, "isotopies", {},
      {"isotopies/pair/degP=3,n=2": "identity ratio 2; discriminant NOT positive; "
       "phi fails at t in [Fraction(1, 2), Fraction(1, 1)]; psi fails at t in [Fraction(1, 1)]",
       "isotopies/boundary-pair": "discriminant NOT positive; "
@@ -170,7 +170,7 @@ def test_table1_names_a_member_that_is_not_hyperbolic(monkeypatch):
 
 def test_isotopies_names_a_repeated_factor_that_is_accepted(monkeypatch):
     monkeypatch.setattr(verify, "check_isotopies", lambda p, q: [
-        IsotopyCheck(kind, ISOTOPY_GRID, True) for kind in ("phi", "psi", "gamma_t")])
+        IsotopyCheck(kind) for kind in ("phi", "psi", "gamma_t")])
     report = run_suite("isotopies")[0]
     (case,) = [c for c in report.cases if c["id"] == "isotopies/repeated-factor rejection"]
     assert (case["got"], case["pass"]) == ("accepted", False)
