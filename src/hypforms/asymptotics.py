@@ -39,10 +39,11 @@ class CurvePolyline:
 
 @dataclass(frozen=True)
 class IsotopyCheck:
-    """Verdict for one deformation family over the values of ISOTOPY_GRID.
+    """Verdict for one deformation family over all t in [0, 1].
 
-    failed_ts lists the grid values where the family's quadratic form was
-    not certified to have strictly positive discriminant off the origin.
+    A family's discriminant is strictly positive off the origin on all of
+    [0, 1] exactly when it is at both ends (see check_isotopies), so
+    failed_ts lists the ends, 0 and 1, where it was not certified.
     """
 
     kind: str
@@ -50,7 +51,7 @@ class IsotopyCheck:
 
     @property
     def verdict(self) -> bool:
-        """True iff the certification held at every grid value."""
+        """True iff the certification held on all of [0, 1]."""
         return not self.failed_ts
 
 
@@ -145,6 +146,9 @@ def _unit(u: float, v: float) -> tuple[float, float]:
 
 # The most steps an integral curve takes in one sense from its seed.
 MAX_ARM_STEPS = 100_000
+# The radius of the disk around the origin (the only singular point) at
+# which an integral curve's arm stops.
+STANDOFF = 1e-3
 
 
 def integrate_curve(
@@ -154,14 +158,13 @@ def integrate_curve(
     step: float = 1e-3,
     max_len: float = 10.0,
     viewport: float = 2.0,
-    standoff: float = 1e-3,
 ) -> CurvePolyline:
     """Integral curve of one null-direction field through `seed`, grown in
     both senses and emitted as a single polyline.
 
     The field label is fixed at the seed: F1 is the null direction with the
     smaller angle in [0, pi), F2 the larger.  Each arm stops on leaving the
-    square |x|, |y| <= viewport, on entering the disk of radius `standoff`
+    square |x|, |y| <= viewport, on entering the disk of radius STANDOFF
     around the origin (the only singular point), or at arc length
     max_len / 2.  Every vertex's outgoing segment points along a null
     direction evaluated at that vertex, so the per-vertex form residual is
@@ -243,7 +246,7 @@ def integrate_curve(
                     if math.hypot(d[0] - prev[0], d[1] - prev[1]) < 1e-15:
                         break
             nx, ny = x + h * d[0], y + h * d[1]
-            if math.hypot(nx, ny) < standoff:
+            if math.hypot(nx, ny) < STANDOFF:
                 break
             pts.append((nx, ny))
             if abs(nx) > viewport or abs(ny) > viewport:
@@ -259,11 +262,10 @@ def integrate_curve(
 
 
 def _cross_blocks(p: BinaryForm, q: BinaryForm):
-    """The two blocks of the second derivatives of p*q that omit
-    p * (second partials of q): q * (pxx, pxy, pyy) and the symmetrized
-    first-derivative product (px qx, px qy + py qx, py qy), and the
-    cross-term form that they sum to.  Validates the pair and verifies the
-    mixed second-derivative identity of discriminant_omega first."""
+    """The cross-term form (a, b, c) = (q pxx + 2 px qx, q pxy + px qy + py qx,
+    q pyy + 2 py qy): the second derivatives of p*q without p * (second
+    partials of q).  Validates the pair and verifies the mixed
+    second-derivative identity of discriminant_omega first."""
     n = q.degree // 2
     if n < 1 or q != even_pad(n):
         raise ValueError("padding factor must be x^(2n) + y^(2n) with n >= 1")
@@ -274,13 +276,12 @@ def _cross_blocks(p: BinaryForm, q: BinaryForm):
     px, py = p.partial_x(), p.partial_y()
     qx, qy = q.partial_x(), q.partial_y()
     pxx, pxy, pyy = second_partials(p)
-    sa, sb, sc = px * qx, px * qy + py * qx, py * qy
+    sb = px * qy + py * qx
     t_comb = pxx * py * qy + pyy * px * qx - pxy * sb
     expected = Fraction(2 * n, p.degree - 1) * (q * hessian(p))
     if t_comb != expected:
         raise ValueError("mixed second-derivative identity failed")
-    qa, qb, qc = q * pxx, q * pxy, q * pyy
-    return (qa, qb, qc), (sa, sb, sc), (qa + 2 * sa, qb + sb, qc + 2 * sc)
+    return q * pxx + 2 * px * qx, q * pxy + sb, q * pyy + 2 * py * qy
 
 
 def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
@@ -291,19 +292,14 @@ def discriminant_omega(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     identity, that the mixed second-derivative combination
     p_xx p_y q_y + p_yy p_x q_x - p_xy (p_x q_y + p_y q_x) equals
     (2n / (deg p - 1)) * q * (Hessian of p)."""
-    _, _, (a, b, c) = _cross_blocks(p, q)
+    a, b, c = _cross_blocks(p, q)
     return b * b - a * c
 
 
-# The parameter values at which check_isotopies certifies each family; the
-# first is 0 and the last is 1.
-ISOTOPY_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-
-
 def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
-    """Certify three deformation families joining quadratic forms built from
-    p (distinct real lines) and q = x^(2n) + y^(2n), at each t in
-    ISOTOPY_GRID:
+    """Certify, for every t in [0, 1], three deformation families joining
+    quadratic forms built from p (distinct real lines) and
+    q = x^(2n) + y^(2n):
 
     - phi: cross-term form plus t times p * (second fundamental form of q);
       at t = 1 this is the full second fundamental form of p*q.
@@ -312,39 +308,31 @@ def check_isotopies(p: BinaryForm, q: BinaryForm) -> list[IsotopyCheck]:
     - gamma_t: the scalar (t + (1-t) q) times the second fundamental form
       of p; the scalar is positive away from the origin for t in [0, 1].
 
-    Each verdict is True iff the family's discriminant is strictly positive
-    off the origin at every grid value (proved exactly).  The pair is
-    validated, and the mixed-derivative identity verified, as in
+    A family holds when its discriminant is strictly positive off the origin
+    for every t in [0, 1] (proved exactly), and the two ends of [0, 1]
+    decide that.  Write A = q^2 hess(p), k = 2n / (deg p - 1) and
+    C = -(px qy - py qx)^2 <= 0.
+    - phi's a*c - b^2 has t^2 coefficient p^2 hess(q) >= 0, so it is convex
+      in t and negative on [0, 1] when it is at both ends: the cross-term
+      form at t = 0 and hess(p*q), the certificate of p*q, at t = 1.
+    - psi's a*c - b^2 is A (1 + 2kt) + C t^2 by the mixed-derivative
+      identity, so it is negative on [0, 1] exactly when A is, which is its
+      t = 0 end: the certificate of p.  Its t = 1 end is the cross-term form.
+    - gamma_t's sign does not depend on t: the certificate of p.
+    Each failed_ts lists the ends, 0 and 1, where its family fails.  The
+    pair is validated, and the mixed-derivative identity verified, as in
     discriminant_omega."""
-    (qa, qb, qc), (sa, sb, sc), (oa, ob, oc) = _cross_blocks(p, q)
-    qxx, qxy, qyy = second_partials(q)
-
-    def positive_off_origin(a: BinaryForm, b: BinaryForm, c: BinaryForm) -> bool:
-        ok, _ = is_negative_form(a * c - b * b)
-        return ok
-
-    # the cross-term form is phi at t = 0 and psi at t = 1: decide it once
-    omega = positive_off_origin(oa, ob, oc)
-
-    def phi(t: Fraction) -> bool:
-        if t == 0:
-            return omega
-        tp = t * p
-        return positive_off_origin(oa + tp * qxx, ob + tp * qxy, oc + tp * qyy)
-
-    def psi(t: Fraction) -> bool:
-        if t == 1:
-            return omega
-        return positive_off_origin(qa + (2 * t) * sa, qb + t * sb, qc + (2 * t) * sc)
-
-    # gamma_t scales the second fundamental form of p by t + (1-t)q, which
-    # is positive off the origin for every t in [0, 1] (q is a sum of even
-    # powers), so its discriminant sign reduces to hyperbolicity of p.
+    a, b, c = _cross_blocks(p, q)
+    omega, _ = is_negative_form(a * c - b * b)
     p_ok = is_hyperbolic(p).is_hyperbolic
-    checks = []
-    for kind, holds in (("phi", phi), ("psi", psi), ("gamma_t", lambda t: p_ok)):
-        checks.append(IsotopyCheck(kind, tuple(t for t in ISOTOPY_GRID if not holds(t))))
-    return checks
+    pq_ok = is_hyperbolic(p * q).is_hyperbolic
+
+    def failed_ends(at_0: bool, at_1: bool) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t) for t, ok in ((0, at_0), (1, at_1)) if not ok)
+
+    return [IsotopyCheck("phi", failed_ends(omega, pq_ok)),
+            IsotopyCheck("psi", failed_ends(p_ok, omega)),
+            IsotopyCheck("gamma_t", failed_ends(p_ok, p_ok))]
 
 
 _FIELD_COLORS = {"F1": "#1f77b4", "F2": "#d62728"}

@@ -543,8 +543,8 @@ ISOTOPY_PAIRS = ((1, False, 2), (1, False, 3), (1, True, 1), (1, True, 2),
 def suite_isotopies() -> SuiteReport:
     """The mixed-derivative identity holds exactly, the cross-term form's
     discriminant is strictly positive off the origin, and the three
-    deformation families certify positive on the five-point grid for every
-    pair whose product is hyperbolic; the boundary pair (degree-3 lines,
+    deformation families certify positive on all of [0, 1] for every pair
+    whose product is hyperbolic; the boundary pair (degree-3 lines,
     n=1) fails exactly at the endpoint that equals the non-hyperbolic
     degree-5 product."""
     cases = _Cases("isotopies")

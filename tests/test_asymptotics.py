@@ -1,6 +1,7 @@
 """Null-direction fields: pointwise data, index halving, ray-field parity,
 curve integration, cross-term discriminants, and deformation checks."""
 
+import itertools
 import math
 import random
 import re
@@ -11,11 +12,14 @@ import pytest
 
 from hypforms import asymptotics, classify, verify
 from hypforms import (
+    Certificate,
     RefinementError,
     check_isotopies,
     discriminant_omega,
+    hessian,
     index_gamma,
     integrate_curve,
+    is_hyperbolic,
     is_negative_form,
     p_factorized,
     parse_form,
@@ -24,7 +28,7 @@ from hypforms import (
     polylines_to_svg,
     representatives,
 )
-from hypforms.asymptotics import ISOTOPY_GRID, _null_vectors
+from hypforms.asymptotics import _null_vectors
 from hypforms.classify import _second_partials_float
 from hypforms.core import eval_float3, second_partials
 from hypforms.families import even_pad
@@ -272,9 +276,11 @@ def test_integrate_termination_modes():
     c = integrate_curve(F3, (1.0, 1.0), viewport=1.5, max_len=50.0)
     outside = sum(1 for p in c.points if abs(p[0]) > 1.5 or abs(p[1]) > 1.5)
     assert outside <= 2
-    # origin standoff: approaching arm stops at radius >= standoff
-    c2 = integrate_curve(F3, (0.0, 0.5), standoff=1e-2)
-    assert all(math.hypot(*p) >= 1e-2 for p in c2.points)
+    # origin standoff: the arm along the zero line x = 0 approaches the
+    # origin and stops within one step (1e-3) outside radius STANDOFF
+    c2 = integrate_curve(F3, (0.0, 0.5), field_choice="F2")
+    nearest = min(math.hypot(*p) for p in c2.points)
+    assert asymptotics.STANDOFF <= nearest <= asymptotics.STANDOFF + 1e-3
     # arc-length cap
     c3 = integrate_curve(F3, (1.0, 1.0), max_len=0.5, viewport=50.0)
     length = sum(
@@ -441,7 +447,8 @@ def test_check_isotopies_boundary_pair_fails_only_at_endpoint():
 
 def test_check_isotopies_decides_the_cross_term_form_once(monkeypatch):
     # phi at t = 0 and psi at t = 1 are both the cross-term form of
-    # discriminant_omega: one decision of it sets both verdicts
+    # discriminant_omega: one decision of it sets both verdicts, and the
+    # certificates of p and p*q go through certify
     p, q = F3, parse_form("x^4 + y^4")
     omega = -discriminant_omega(p, q)
     decided = []
@@ -452,26 +459,38 @@ def test_check_isotopies_decides_the_cross_term_form_once(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "is_negative_form", not_negative_at_omega)
     checks = {c.kind: c for c in check_isotopies(p, q)}
-    assert decided.count(True) == 1 and len(decided) == 9
+    assert decided == [True]
     assert checks["phi"].failed_ts == (Fraction(0),)
     assert checks["psi"].failed_ts == (Fraction(1),)
     assert checks["gamma_t"].verdict
 
 
-def test_check_isotopies_lists_each_rejected_grid_value(monkeypatch):
-    # the cross-term form (phi at t = 0, psi at t = 1) and psi at t = 1/2
-    # are rejected: each family lists exactly the grid values it failed at
+def _rejecting(monkeypatch, *forms):
+    # certify each of forms as not hyperbolic, every other form as before
+    def certificate(f):
+        return Certificate("not_hyperbolic", "hessian", f.degree) if f in forms else is_hyperbolic(f)
+    monkeypatch.setattr(asymptotics, "is_hyperbolic", certificate)
+
+
+def test_check_isotopies_lists_each_failing_end(monkeypatch):
+    # phi's ends are the cross-term form and p*q, psi's are p and the
+    # cross-term form, and gamma_t's are both p
     p, q = F3, parse_form("x^4 + y^4")
-    pq2, p2, q2 = second_partials(p * q), second_partials(p), second_partials(q)
-    a, b, c = (q * u + Fraction(1, 2) * (w - p * v - q * u) for w, u, v in zip(pq2, p2, q2))
-    rejected = (-discriminant_omega(p, q), a * c - b * b)
+    omega = -discriminant_omega(p, q)
     monkeypatch.setattr(asymptotics, "is_negative_form",
-                        lambda h: (False, None) if h in rejected else is_negative_form(h))
-    checks = check_isotopies(p, q)
-    assert [(k.kind, k.verdict, k.failed_ts) for k in checks] == [
-        ("phi", False, (Fraction(0),)),
-        ("psi", False, (Fraction(1, 2), Fraction(1))),
+                        lambda h: (False, None) if h == omega else is_negative_form(h))
+    _rejecting(monkeypatch, p * q)
+    assert [(k.kind, k.verdict, k.failed_ts) for k in check_isotopies(p, q)] == [
+        ("phi", False, (Fraction(0), Fraction(1))),
+        ("psi", False, (Fraction(1),)),
         ("gamma_t", True, ()),
+    ]
+    monkeypatch.setattr(asymptotics, "is_negative_form", is_negative_form)
+    _rejecting(monkeypatch, p)
+    assert [(k.kind, k.verdict, k.failed_ts) for k in check_isotopies(p, q)] == [
+        ("phi", True, ()),
+        ("psi", False, (Fraction(0),)),
+        ("gamma_t", False, (Fraction(0), Fraction(1))),
     ]
 
 
@@ -479,21 +498,44 @@ def test_check_isotopies_lists_each_rejected_grid_value(monkeypatch):
 ISOTOPY_PAIRS = [*verify.ISOTOPY_PAIRS, (1, False, 1)]
 
 
+def _phi(p, q, t):
+    # (pq)'' - (1 - t) p q'', built from the second partials alone
+    return tuple(w - (1 - t) * p * v for w, v in zip(second_partials(p * q), second_partials(q)))
+
+
+def _psi(p, q, t):
+    # q p'' + t ((pq)'' - p q'' - q p''), built from the second partials alone
+    return tuple(q * u + t * (w - p * v - q * u) for w, u, v in
+                 zip(second_partials(p * q), second_partials(p), second_partials(q)))
+
+
+def _disc(a, b, c):
+    return a * c - b * b
+
+
+def _in_t(family, p, q):
+    # (h0, h1, h2) with _disc(*family(p, q, t)) = h0 + h1 t + h2 t^2: each
+    # entry is affine in t, so the values at t = 0, 1 and -1 decide them
+    h0, hp, hm = (_disc(*family(p, q, Fraction(t))) for t in (0, 1, -1))
+    return h0, Fraction(1, 2) * (hp - hm), Fraction(1, 2) * (hp + hm) - h0
+
+
 @pytest.mark.parametrize("k, even, n", ISOTOPY_PAIRS)
 def test_check_isotopies_decides_the_family_discriminants(monkeypatch, k, even, n):
-    # phi(t) = (pq)'' - (1 - t) p q'' and psi(t) = q p'' + t ((pq)'' - p q'' - q p''),
-    # built here from the second partials alone
+    # the identities by which the two ends of [0, 1] decide each family
     p, q = p_factorized(k, even=even).form, even_pad(n)
-    pq2, p2, q2 = second_partials(p * q), second_partials(p), second_partials(q)
-
-    def disc(a, b, c):
-        return a * c - b * b
-
-    expected = set()
-    for t in ISOTOPY_GRID:
-        expected.add(disc(*(w - (1 - t) * p * v for w, v in zip(pq2, q2))))
-        expected.add(disc(*(q * u + t * (w - p * v - q * u)
-                            for w, u, v in zip(pq2, p2, q2))))
+    ratio = Fraction(q.degree, p.degree - 1)  # the k of the identity, 2n / (deg p - 1)
+    px, py, qx, qy = p.partial_x(), p.partial_y(), q.partial_x(), q.partial_y()
+    A = q * q * hessian(p)
+    C = -(px * qy - py * qx) ** 2
+    # psi: A (1 + 2 ratio t) + C t^2, negative on [0, 1] exactly when A is
+    assert _in_t(_psi, p, q) == (A, 2 * ratio * A, C)
+    # phi: convex in t, and its t = 1 end is the Hessian of p*q
+    assert _in_t(_phi, p, q)[2] == p * p * hessian(q)
+    assert _disc(*_phi(p, q, 1)) == hessian(p * q)
+    # the cross-term form is phi at t = 0 and psi at t = 1
+    omega = _disc(*_phi(p, q, 0))
+    assert omega == _disc(*_psi(p, q, 1)) == (1 + 2 * ratio) * A + C == -discriminant_omega(p, q)
     decided = []
 
     def recording(h):
@@ -502,5 +544,29 @@ def test_check_isotopies_decides_the_family_discriminants(monkeypatch, k, even, 
 
     monkeypatch.setattr(asymptotics, "is_negative_form", recording)
     check_isotopies(p, q)
-    assert len(expected) == 9
-    assert len(decided) == 9 and set(decided) == expected
+    assert decided == [omega]
+
+
+# every product of 2 or 3 distinct lines among y, x + y, x, x - y, x - 2y,
+# padded with n = 1 and 2
+CENSUS_LINES = [parse_form(t) for t in ("y", "x + y", "x", "x - y", "x - 2*y")]
+CENSUS_PAIRS = [(math.prod(ls[1:], start=ls[0]), even_pad(n))
+                for r in (2, 3) for ls in itertools.combinations(CENSUS_LINES, r)
+                for n in (1, 2)]
+# twelve values of t in [0, 1], three of them not dyadic
+GATE_TS = tuple(Fraction(j, 8) for j in range(9)) + (Fraction(1, 3), Fraction(2, 3), Fraction(5, 7))
+
+
+def test_check_isotopies_agrees_with_direct_decisions_inside_the_interval():
+    # each family's verdict on [0, 1] against phi and psi decided directly at
+    # twelve values of t; the pairs include many whose phi fails
+    failing = 0
+    suite_pairs = [(p_factorized(k, even=even).form, even_pad(n)) for k, even, n in ISOTOPY_PAIRS]
+    for p, q in suite_pairs + CENSUS_PAIRS:
+        checks = {c.kind: c for c in check_isotopies(p, q)}
+        for kind, family in (("phi", _phi), ("psi", _psi)):
+            failed = [t for t in GATE_TS if not is_negative_form(_disc(*family(p, q, t)))[0]]
+            assert checks[kind].verdict == (not failed), (kind, p, q)
+            assert checks[kind].failed_ts == tuple(t for t in failed if t in (0, 1)), (kind, p, q)
+        failing += not all(c.verdict for c in checks.values())
+    assert (len(CENSUS_PAIRS), failing) == (40, 34)

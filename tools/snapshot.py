@@ -15,8 +15,9 @@ only.
 The commands are `verify all` at the default ranges and with
 `--d-max 9 --n-max 12`, `lemma1`, `check` and `index` of every
 representative with D <= 12, `check` of one rejection for each way a
-witness is found, the `family` examples of the README and one of each
-other kind, and the SVG and CSV of the default figures of four forms, 87
+witness is found, `check` of a form with rational coefficients and of a
+coefficient vector, the `family` examples of the README and one of each
+other kind, and the SVG and CSV of the default figures of four forms, 89
 commands in all.  Wall times are the only outputs that change from run to run, so
 `wall_time` is dropped from the verify reports and the seconds from their
 stderr summary lines.
@@ -57,6 +58,12 @@ FIGURE_FORMS = (
     "x*y*(x^2 - y^2)",
     "x^3 - 3*x*y^2",
     "(x^2 + y^2)*(x^3 - 3*x*y^2)",
+)
+# The two input syntaxes the texts above never use: rational coefficients
+# and a coefficient vector.
+SYNTAXES = (
+    "1/2*x^3 - 3/2*x*y^2",
+    "3: 1, 0, -3, 0",
 )
 REP_D_MAX = 12
 
@@ -104,7 +111,7 @@ def main(argv: list[str]) -> int:
             for mem in families.representatives(d):
                 text = str(mem.form)
                 commands += [["check", text], ["index", text]]
-    commands += [["check", text] for text in REJECTIONS]
+    commands += [["check", text] for text in REJECTIONS + SYNTAXES]
     commands += [["family", *args] for args in FAMILY_ARGS]
     for poly in FIGURE_FORMS:
         for suffix in (".svg", ".csv"):
